@@ -1,5 +1,5 @@
-//! Batch-throughput measurement: workload conversion and the shared
-//! runner behind the `throughput` bench and `obstacle_cli batch`.
+//! Batch-throughput measurement: workload conversion and the
+//! thread-sweep runner behind `obstacle_cli batch`.
 
 use obstacle_core::{Query, QueryEngine, SemiJoinStrategy};
 use obstacle_datagen::BatchQuery;
@@ -45,7 +45,8 @@ impl ThroughputPoint {
 ///
 /// When `verify` is set, every later run is checked result-for-result
 /// against the first run — the determinism guarantee of
-/// [`QueryEngine::run_batch`] made observable; a mismatch panics.
+/// [`BatchRequest::collect`](obstacle_core::BatchRequest::collect) made
+/// observable; a mismatch panics.
 pub fn thread_sweep(
     engine: &QueryEngine<'_>,
     queries: &[Query],

@@ -41,9 +41,9 @@
 
 use obstacle_bench::batch::{thread_sweep, to_core_query};
 use obstacle_core::{
-    closest_pairs, distance_join, shortest_obstructed_path, Admission, BatchOptions, Completion,
-    EngineOptions, EntityIndex, ObstacleIndex, Outcome, QueryEngine, QueryService, QueryStats,
-    SceneCache, Schedule, ServiceConfig, SubmitError, Update,
+    closest_pairs, distance_join, shortest_obstructed_path, Admission, Completion, EngineOptions,
+    EntityIndex, ObstacleIndex, Outcome, QueryEngine, QueryService, QueryStats, SceneCache,
+    Schedule, ServiceConfig, SubmitError, Update,
 };
 use obstacle_datagen::{
     batch_workload, clustered_batch_workload, open_loop_arrivals, sample_entities, BatchMix, City,
@@ -442,12 +442,15 @@ fn batch_streaming(args: &Args, engine: &QueryEngine<'_>, queries: &[obstacle_co
         args.common.threads,
         schedule_name(schedule)
     );
-    let options = BatchOptions::new(args.common.threads).schedule(schedule);
+    let request = engine
+        .batch(queries)
+        .threads(args.common.threads)
+        .schedule(schedule);
     let progress_every = (queries.len() / 8).max(1);
     let t0 = std::time::Instant::now();
     let mut first = None;
     let mut agg = QueryStats::default();
-    let ((count, results), stats) = engine.batch(queries).options(options).stream(|stream| {
+    let ((count, results), stats) = request.stream(|stream| {
         let mut count = 0usize;
         let mut results = 0usize;
         for (i, answer) in stream {
@@ -492,7 +495,7 @@ fn batch_streaming(args: &Args, engine: &QueryEngine<'_>, queries: &[obstacle_co
     );
     if args.verify {
         let (sequential, _) = engine.batch(queries).threads(1).collect();
-        let (streamed, _) = engine.batch(queries).options(options).stream(|stream| {
+        let (streamed, _) = request.stream(|stream| {
             let mut v: Vec<(usize, obstacle_core::Answer)> = stream.collect();
             v.sort_by_key(|(i, _)| *i);
             v
@@ -524,9 +527,12 @@ fn batch_scheduled(
         args.common.threads,
         schedule_name(schedule)
     );
-    let options = BatchOptions::new(args.common.threads).schedule(schedule);
     let t0 = std::time::Instant::now();
-    let (answers, stats) = engine.batch(queries).options(options).collect();
+    let (answers, stats) = engine
+        .batch(queries)
+        .threads(args.common.threads)
+        .schedule(schedule)
+        .collect();
     let elapsed = t0.elapsed();
     println!(
         "  {:>10.2?} total, {:>8.1} queries/sec; scene caches: {} reuse(s), {} reset(s)",
@@ -887,29 +893,41 @@ fn drain(svc: &QueryService<'_>, submitted: u64, done: &mut u64) {
 
 /// One line of the `serve` protocol: `nn X Y [K]`, `range X Y E`, or
 /// `path X1 Y1 X2 Y2` (whitespace-separated, `#` starts a comment).
+/// Lines arrive from stdin or a socket, so everything the engine cannot
+/// answer sensibly is refused here: non-finite numbers, a negative `e`,
+/// and a `k` that is not an unsigned integer (`1e30`, `-3`, `2.5`).
 fn parse_query_line(line: &str) -> Result<obstacle_core::Query, String> {
     let mut parts = line.split_whitespace();
     let head = parts.next().unwrap_or_default();
     let mut num = |what: &str| -> Result<f64, String> {
-        parts
+        let v: f64 = parts
             .next()
             .ok_or_else(|| format!("missing {what}"))?
             .parse()
-            .map_err(|_| format!("bad {what}"))
+            .map_err(|_| format!("bad {what}"))?;
+        if v.is_finite() {
+            Ok(v)
+        } else {
+            Err(format!("non-finite {what}"))
+        }
     };
     match head {
         "nn" => {
-            let (x, y) = (num("x")?, num("y")?);
-            let k = num("k").unwrap_or(1.0) as usize;
-            Ok(obstacle_core::Query::Nearest {
-                q: Point::new(x, y),
-                k: k.max(1),
-            })
+            let q = Point::new(num("x")?, num("y")?);
+            let k = match parts.next() {
+                None => 1,
+                Some(k) => k.parse::<usize>().map_err(|_| "bad k".to_string())?,
+            };
+            Ok(obstacle_core::Query::Nearest { q, k: k.max(1) })
         }
-        "range" => Ok(obstacle_core::Query::Range {
-            q: Point::new(num("x")?, num("y")?),
-            e: num("e")?,
-        }),
+        "range" => {
+            let q = Point::new(num("x")?, num("y")?);
+            let e = num("e")?;
+            if e < 0.0 {
+                return Err("negative e".to_string());
+            }
+            Ok(obstacle_core::Query::Range { q, e })
+        }
         "path" => Ok(obstacle_core::Query::Path {
             from: Point::new(num("x1")?, num("y1")?),
             to: Point::new(num("x2")?, num("y2")?),
@@ -1116,4 +1134,71 @@ fn usage(err: &str) -> ! {
          \x20              single-buffer tree, lock-free reads)"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_query_line;
+    use obstacle_core::Query;
+    use obstacle_geom::Point;
+
+    #[test]
+    fn well_formed_lines_parse() {
+        assert_eq!(
+            parse_query_line("nn 0.5 0.25 3"),
+            Ok(Query::Nearest {
+                q: Point::new(0.5, 0.25),
+                k: 3
+            })
+        );
+        // `k` is optional and at least 1.
+        for line in ["nn 0.5 0.25", "nn 0.5 0.25 0"] {
+            assert_eq!(
+                parse_query_line(line),
+                Ok(Query::Nearest {
+                    q: Point::new(0.5, 0.25),
+                    k: 1
+                })
+            );
+        }
+        assert_eq!(
+            parse_query_line("range 1 2 0"),
+            Ok(Query::Range {
+                q: Point::new(1.0, 2.0),
+                e: 0.0
+            })
+        );
+        assert_eq!(
+            parse_query_line("path 0 0 1e-3 -4"),
+            Ok(Query::Path {
+                from: Point::new(0.0, 0.0),
+                to: Point::new(1e-3, -4.0)
+            })
+        );
+    }
+
+    #[test]
+    fn hostile_lines_are_parse_errors() {
+        for line in [
+            "",
+            "knn 0 0",
+            "nn 0",
+            "nn x 0",
+            "nn nan 0",
+            "nn 0 inf",
+            "nn 0 0 1e30",
+            "nn 0 0 -3",
+            "nn 0 0 2.5",
+            "nn 0 0 abc",
+            "nn 0 0 99999999999999999999999",
+            "range 0 0",
+            "range 0 0 -0.1",
+            "range 0 0 nan",
+            "range -inf 0 1",
+            "path 0 0 1",
+            "path 0 0 1 infinity",
+        ] {
+            assert!(parse_query_line(line).is_err(), "accepted '{line}'");
+        }
+    }
 }

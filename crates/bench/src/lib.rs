@@ -22,7 +22,6 @@ pub mod harness;
 pub mod scale;
 pub mod setup;
 pub mod table;
-pub mod trajectory;
 
 pub use scale::Scale;
 pub use setup::Workbench;

@@ -32,9 +32,9 @@
 
 use crate::closest_pair::closest_pairs;
 use crate::distance::LocalGraph;
-use crate::engine::{EngineOptions, EntityIndex, ObstacleIndex, QueryEngine};
+use crate::engine::{universe_of, EngineOptions, EntityIndex, ObstacleIndex, QueryEngine};
 use crate::join::distance_join;
-use crate::path::{shortest_obstructed_path, shortest_obstructed_path_in};
+use crate::path::shortest_obstructed_path_in;
 use crate::semi_join::{semi_join, SemiJoinStrategy};
 use crate::stats::{ClosestPairsResult, JoinResult, NearestResult, QueryStats, RangeResult};
 use obstacle_geom::{hilbert_index_unit, Point, Rect};
@@ -218,42 +218,6 @@ pub enum Delivery {
     InputOrder,
 }
 
-/// Knobs of a scheduled/streaming batch run.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BatchOptions {
-    /// Worker threads (clamped to `[1, queries.len()]` at the terminal).
-    pub threads: usize,
-    /// Execution-order policy.
-    pub schedule: Schedule,
-    /// Delivery-order policy (streaming API only; collected variants
-    /// always return answers at their input index).
-    pub delivery: Delivery,
-    /// Scene-retirement budgets of each worker's [`SceneCache`].
-    pub budget: SceneBudget,
-}
-
-impl BatchOptions {
-    /// Options with `threads` workers and every policy at its default.
-    pub fn new(threads: usize) -> Self {
-        BatchOptions {
-            threads,
-            ..BatchOptions::default()
-        }
-    }
-
-    /// Same options with the given schedule.
-    pub fn schedule(mut self, schedule: Schedule) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
-    /// Same options with the given delivery policy.
-    pub fn delivery(mut self, delivery: Delivery) -> Self {
-        self.delivery = delivery;
-        self
-    }
-}
-
 /// Aggregate execution diagnostics of one batch run, summed over all
 /// workers. Scene reuse counts are the observable the Hilbert schedule
 /// exists to improve; they never affect answers.
@@ -406,10 +370,9 @@ impl SceneCache {
     /// by `slack` (see [`LocalGraph::sync`]). Edits elsewhere leave the
     /// scene warm — reuse stays legal because every resident obstacle
     /// intersects that region. Returns whether the scene was retired.
-    /// [`QueryEngine::execute_with`] calls this before every query (the
-    /// `epoch_validation` option gates it, for ablation only); callers
-    /// driving the operators directly against a long-lived cache across
-    /// updates get the same check through the operators' own sync.
+    /// [`QueryEngine::execute_with`] calls this before every query;
+    /// callers driving the operators directly against a long-lived cache
+    /// across updates get the same check through the operators' own sync.
     pub fn validate(&mut self, obstacles: &ObstacleIndex, slack: f64) -> bool {
         if self.graph.sync(obstacles, slack) {
             self.coverage = Rect::empty();
@@ -427,6 +390,13 @@ impl SceneCache {
     /// seed loop).
     pub fn slack_for(universe: &Rect) -> f64 {
         0.02 * universe.min.dist(universe.max)
+    }
+
+    /// [`SceneCache::slack_for`] the working universe of `obstacles`
+    /// and, when the caller has one, `entities` ([`universe_of`]): the
+    /// one slack every scene user validates and coalesces with.
+    pub(crate) fn slack_over(obstacles: &ObstacleIndex, entities: Option<&EntityIndex>) -> f64 {
+        SceneCache::slack_for(&universe_of(obstacles, entities))
     }
 
     /// The cached scene, positioned for a query covering `region`; the
@@ -454,12 +424,42 @@ impl SceneCache {
 }
 
 impl<'a> QueryEngine<'a> {
-    /// Executes one batch [`Query`] on this engine (the sequential unit
-    /// the batch engine parallelises over).
+    /// Executes one batch [`Query`] on this engine over a fresh scene
+    /// (the sequential unit the batch engine parallelises over).
     pub fn execute(&self, query: &Query) -> Answer {
+        self.execute_with(query, &mut SceneCache::new(self.options))
+    }
+
+    /// Executes one batch [`Query`] through a [`SceneCache`]: the point
+    /// operators (range, NN, path) run over the cache's reusable scene,
+    /// the dataset-wide operators manage their own. With the
+    /// `reuse_graph` ablation off, `cache` is left untouched and every
+    /// query pays a fresh scene, as before PR 4.
+    pub fn execute_with(&self, query: &Query, cache: &mut SceneCache) -> Answer {
+        let mut fresh;
+        let cache = if self.options.reuse_graph {
+            cache
+        } else {
+            fresh = SceneCache::new(self.options);
+            &mut fresh
+        };
+        let slack = SceneCache::slack_over(self.obstacles, Some(self.entities));
+        cache.validate(self.obstacles, slack);
         match *query {
-            Query::Range { q, e } => Answer::Range(self.range(q, e)),
-            Query::Nearest { q, k } => Answer::Nearest(self.nearest(q, k)),
+            Query::Range { q, e } => {
+                let region = Rect::from_coords(q.x - e, q.y - e, q.x + e, q.y + e);
+                Answer::Range(self.range_in(cache.scene_for(region, slack), q, e))
+            }
+            Query::Nearest { q, k } => {
+                let region = Rect::from_point(q);
+                Answer::Nearest(self.nearest_in(cache.scene_for(region, slack), q, k))
+            }
+            Query::Path { from, to } => Answer::Path(shortest_obstructed_path_in(
+                cache.scene_for(Rect::new(from, to), slack),
+                from,
+                to,
+                self.obstacles,
+            )),
             Query::DistanceJoin { e } => Answer::DistanceJoin(distance_join(
                 self.entities,
                 self.entities,
@@ -481,44 +481,6 @@ impl<'a> QueryEngine<'a> {
                 k,
                 self.options,
             )),
-            Query::Path { from, to } => Answer::Path(shortest_obstructed_path(
-                from,
-                to,
-                self.obstacles,
-                self.options.builder,
-            )),
-        }
-    }
-
-    /// Executes one batch [`Query`] through a [`SceneCache`]: the point
-    /// operators (range, NN, path) run over the cache's reusable scene,
-    /// everything else falls through to [`QueryEngine::execute`]. With
-    /// the `reuse_graph` ablation off, the cache is bypassed entirely
-    /// (every query pays a fresh scene, as before PR 4).
-    pub fn execute_with(&self, query: &Query, cache: &mut SceneCache) -> Answer {
-        if !self.options.reuse_graph {
-            return self.execute(query);
-        }
-        let slack = SceneCache::slack_for(&self.universe());
-        if self.options.epoch_validation {
-            cache.validate(self.obstacles, slack);
-        }
-        match *query {
-            Query::Range { q, e } => {
-                let region = Rect::from_coords(q.x - e, q.y - e, q.x + e, q.y + e);
-                Answer::Range(self.range_in(cache.scene_for(region, slack), q, e))
-            }
-            Query::Nearest { q, k } => {
-                let region = Rect::from_point(q);
-                Answer::Nearest(self.nearest_in(cache.scene_for(region, slack), q, k))
-            }
-            Query::Path { from, to } => Answer::Path(shortest_obstructed_path_in(
-                cache.scene_for(Rect::new(from, to), slack),
-                from,
-                to,
-                self.obstacles,
-            )),
-            _ => self.execute(query),
         }
     }
 
@@ -538,70 +500,29 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// Starts a [`BatchRequest`] over `queries` — the single entry point
-    /// of the batch engine. Configure it with the builder knobs
-    /// ([`BatchRequest::threads`], [`BatchRequest::schedule`],
-    /// [`BatchRequest::delivery`], [`BatchRequest::budget`],
-    /// [`BatchRequest::epoch_validation`]) and finish with a terminal:
-    /// [`BatchRequest::collect`] for answers in input order,
-    /// [`BatchRequest::stream`] for answers as they complete, or
-    /// [`BatchRequest::each`] for a per-answer callback.
+    /// of the batch engine. Configure it with [`BatchRequest::threads`],
+    /// [`BatchRequest::schedule`] and [`BatchRequest::delivery`], and
+    /// finish with a terminal: [`BatchRequest::collect`] for answers in
+    /// input order, [`BatchRequest::stream`] for answers as they
+    /// complete, or [`BatchRequest::each`] for a per-answer callback.
     pub fn batch<'q>(&self, queries: &'q [Query]) -> BatchRequest<'a, 'q> {
         BatchRequest {
             engine: *self,
             queries,
-            options: BatchOptions::default(),
-            epoch_validation: None,
+            threads: 1,
+            schedule: Schedule::default(),
+            delivery: Delivery::default(),
         }
-    }
-
-    /// Deprecated alias for the default-configured batch: `queries`
-    /// across `threads` workers, answers in input order.
-    #[deprecated(note = "use `engine.batch(queries).threads(n).collect().0`")]
-    pub fn run_batch(&self, queries: &[Query], threads: usize) -> Vec<Answer> {
-        self.batch(queries).threads(threads).collect().0
-    }
-
-    /// Deprecated alias: `queries` under the full [`BatchOptions`],
-    /// answers in input order plus the run's [`BatchStats`].
-    #[deprecated(note = "use `engine.batch(queries).options(*options).collect()`")]
-    pub fn run_batch_scheduled(
-        &self,
-        queries: &[Query],
-        options: &BatchOptions,
-    ) -> (Vec<Answer>, BatchStats) {
-        self.batch(queries).options(*options).collect()
-    }
-
-    /// Deprecated alias: streaming batch delivering `(input_index,
-    /// Answer)` pairs to `consumer` while workers run.
-    #[deprecated(note = "use `engine.batch(queries).options(*options).stream(consumer)`")]
-    pub fn run_batch_streaming<R>(
-        &self,
-        queries: &[Query],
-        options: &BatchOptions,
-        consumer: impl FnOnce(BatchStream) -> R,
-    ) -> (R, BatchStats) {
-        self.batch(queries).options(*options).stream(consumer)
-    }
-
-    /// Deprecated alias: per-answer callback batch.
-    #[deprecated(note = "use `engine.batch(queries).options(*options).each(on_answer)`")]
-    pub fn run_batch_with(
-        &self,
-        queries: &[Query],
-        options: &BatchOptions,
-        on_answer: impl FnMut(usize, Answer),
-    ) -> BatchStats {
-        self.batch(queries).options(*options).each(on_answer)
     }
 }
 
-/// A configured batch submission: one builder over every batch knob —
-/// worker count, [`Schedule`], [`Delivery`], [`SceneBudget`], epoch
-/// validation — with three terminals. Built by [`QueryEngine::batch`];
-/// the legacy `run_batch*` entry points and the resident
-/// [`QueryService`](crate::service::QueryService) are thin layers over
-/// this one request path.
+/// A configured batch submission: the one place a batch is configured —
+/// worker count, [`Schedule`], [`Delivery`] — with three terminals.
+/// Built by [`QueryEngine::batch`]. The resident
+/// [`QueryService`](crate::service::QueryService) shares its execution
+/// unit ([`QueryEngine::execute_with`] over a per-worker [`SceneCache`])
+/// but keeps its own claim loop: a live queue, owned indexes and
+/// cancellation have no counterpart in a fixed slice.
 ///
 /// The request is `Copy` (it borrows the engine's indexes and the query
 /// slice), so a configured request can be re-run or forked freely.
@@ -609,24 +530,22 @@ impl<'a> QueryEngine<'a> {
 pub struct BatchRequest<'a, 'q> {
     engine: QueryEngine<'a>,
     queries: &'q [Query],
-    options: BatchOptions,
-    /// `Some` overrides the engine's `epoch_validation` option for this
-    /// request only.
-    epoch_validation: Option<bool>,
+    threads: usize,
+    schedule: Schedule,
+    delivery: Delivery,
 }
 
-impl<'a> BatchRequest<'a, '_> {
-    /// Worker threads (clamped to `[1, queries.len()]` at the terminal;
-    /// one thread runs inline on the calling thread with no pool at all,
-    /// one batch-wide scene cache, still in scheduled order).
+impl BatchRequest<'_, '_> {
+    /// Worker threads (default 1; clamped to `[1, queries.len()]` at
+    /// the terminal).
     pub fn threads(mut self, threads: usize) -> Self {
-        self.options.threads = threads;
+        self.threads = threads;
         self
     }
 
     /// Execution-order policy (see [`Schedule`]).
     pub fn schedule(mut self, schedule: Schedule) -> Self {
-        self.options.schedule = schedule;
+        self.schedule = schedule;
         self
     }
 
@@ -634,39 +553,8 @@ impl<'a> BatchRequest<'a, '_> {
     /// [`BatchRequest::each`] (collected answers are always in input
     /// order).
     pub fn delivery(mut self, delivery: Delivery) -> Self {
-        self.options.delivery = delivery;
+        self.delivery = delivery;
         self
-    }
-
-    /// Scene-retirement budgets of each worker's [`SceneCache`].
-    pub fn budget(mut self, budget: SceneBudget) -> Self {
-        self.options.budget = budget;
-        self
-    }
-
-    /// Overrides the engine's `epoch_validation` option for this request
-    /// (scene caches re-checked against obstacle edits before every
-    /// query; on by default, off only for ablation).
-    pub fn epoch_validation(mut self, validate: bool) -> Self {
-        self.epoch_validation = Some(validate);
-        self
-    }
-
-    /// Replaces every [`BatchOptions`] knob at once (the bridge from the
-    /// options-struct era; individual builders are preferred).
-    pub fn options(mut self, options: BatchOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// The engine this request executes on, with the per-request epoch
-    /// override applied.
-    fn resolved(&self) -> QueryEngine<'a> {
-        let mut engine = self.engine;
-        if let Some(validate) = self.epoch_validation {
-            engine.options.epoch_validation = validate;
-        }
-        engine
     }
 
     /// Executes the request and returns the answers **in input order**
@@ -685,32 +573,8 @@ impl<'a> BatchRequest<'a, '_> {
     /// function of the shared indexes, which no query mutates, and scene
     /// reuse never changes answers (see [`SceneCache`]).
     pub fn collect(self) -> (Vec<Answer>, BatchStats) {
-        let engine = self.resolved();
-        let queries = self.queries;
-        let threads = self.options.threads.clamp(1, queries.len().max(1));
-        if threads == 1 {
-            let order = engine.schedule_order(queries, self.options.schedule);
-            let mut cache = SceneCache::with_budget(engine.options, self.options.budget);
-            let mut slots: Vec<Option<Answer>> = Vec::new();
-            slots.resize_with(queries.len(), || None);
-            for &i in &order {
-                slots[i] = Some(engine.execute_with(&queries[i], &mut cache));
-            }
-            let stats = BatchStats {
-                workers: 1,
-                scene_reuses: cache.reuses(),
-                scene_resets: cache.resets(),
-                scene_invalidations: cache.invalidations(),
-            };
-            let answers = slots
-                .into_iter()
-                .map(|a| a.expect("the schedule visits every query exactly once"))
-                .collect();
-            return (answers, stats);
-        }
-
         let mut slots: Vec<Option<Answer>> = Vec::new();
-        slots.resize_with(queries.len(), || None);
+        slots.resize_with(self.queries.len(), || None);
         let stats = self.each(|i, answer| {
             slots[i] = Some(answer);
         });
@@ -740,11 +604,10 @@ impl<'a> BatchRequest<'a, '_> {
     /// [`Delivery::InputOrder`] the yielded indices are exactly `0, 1,
     /// 2, …` (a re-order buffer holds early completions).
     pub fn stream<R>(self, consumer: impl FnOnce(BatchStream) -> R) -> (R, BatchStats) {
-        let engine = self.resolved();
+        let engine = self.engine;
         let queries = self.queries;
-        let options = self.options;
-        let threads = options.threads.clamp(1, queries.len().max(1));
-        let order = engine.schedule_order(queries, options.schedule);
+        let threads = self.threads.clamp(1, queries.len().max(1));
+        let order = engine.schedule_order(queries, self.schedule);
         let cursor = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<(usize, Answer)>();
         let mut stats = BatchStats {
@@ -758,7 +621,7 @@ impl<'a> BatchRequest<'a, '_> {
                     let order = &order;
                     let tx = tx.clone();
                     scope.spawn(move || {
-                        let mut cache = SceneCache::with_budget(engine.options, options.budget);
+                        let mut cache = SceneCache::new(engine.options);
                         loop {
                             let slot = cursor.fetch_add(1, Ordering::Relaxed);
                             if slot >= order.len() {
@@ -782,7 +645,7 @@ impl<'a> BatchRequest<'a, '_> {
             let stream = BatchStream {
                 rx,
                 remaining: queries.len(),
-                delivery: options.delivery,
+                delivery: self.delivery,
                 next_index: 0,
                 held: BTreeMap::new(),
             };
@@ -819,8 +682,8 @@ impl<'a> BatchRequest<'a, '_> {
 /// balance). Shared with the service queue, whose live claim order is
 /// the same key space.
 pub(crate) fn hilbert_key(query: &Query, universe: &Rect) -> u64 {
-    let p = match *query {
-        Query::Range { q, .. } | Query::Nearest { q, .. } => q,
+    let p = match query {
+        Query::Range { q, .. } | Query::Nearest { q, .. } => *q,
         Query::Path { from, to } => Point::new(0.5 * (from.x + to.x), 0.5 * (from.y + to.y)),
         Query::DistanceJoin { .. } | Query::SemiJoin { .. } | Query::ClosestPairs { .. } => {
             return 0
@@ -1119,15 +982,18 @@ mod tests {
         let (entities, obstacles) = scene();
         let engine = QueryEngine::new(&entities, &obstacles);
         let queries = mixed_queries();
-        // Hilbert schedule *executes* out of input order, so in-order
-        // delivery genuinely exercises the re-order buffer.
-        let (indices, _) = engine
-            .batch(&queries)
-            .threads(4)
-            .schedule(Schedule::Hilbert)
-            .delivery(Delivery::InputOrder)
-            .stream(|stream| stream.map(|(i, _)| i).collect::<Vec<usize>>());
-        assert_eq!(indices, (0..queries.len()).collect::<Vec<_>>());
+        // Hilbert schedule *executes* out of input order — at one worker
+        // too — so in-order delivery genuinely exercises the re-order
+        // buffer.
+        for threads in [1, 4] {
+            let (indices, _) = engine
+                .batch(&queries)
+                .threads(threads)
+                .schedule(Schedule::Hilbert)
+                .delivery(Delivery::InputOrder)
+                .stream(|stream| stream.map(|(i, _)| i).collect::<Vec<usize>>());
+            assert_eq!(indices, (0..queries.len()).collect::<Vec<_>>());
+        }
     }
 
     #[test]
@@ -1140,13 +1006,15 @@ mod tests {
                 k: 1,
             })
             .collect();
-        let (first, stats) = engine
-            .batch(&queries)
-            .threads(2)
-            .stream(|mut stream| stream.next());
-        let (i, a) = first.expect("at least one answer lands");
-        assert!(a.same_results(&engine.execute(&queries[i])));
-        assert!(stats.workers == 2);
+        for threads in [1, 2] {
+            let (first, stats) = engine
+                .batch(&queries)
+                .threads(threads)
+                .stream(|mut stream| stream.next());
+            let (i, a) = first.expect("at least one answer lands");
+            assert!(a.same_results(&engine.execute(&queries[i])));
+            assert!(stats.workers == threads);
+        }
     }
 
     #[test]
@@ -1188,47 +1056,5 @@ mod tests {
             stats.scene_reuses > 0,
             "the tiny clustered workload must warm the scene"
         );
-    }
-    /// The four legacy entry points must stay behaviourally identical to
-    /// the [`BatchRequest`] path they now wrap.
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_entry_points_match_batch_request() {
-        let (entities, obstacles) = scene();
-        let engine = QueryEngine::new(&entities, &obstacles);
-        let queries = mixed_queries();
-        let options = BatchOptions::new(3)
-            .schedule(Schedule::Hilbert)
-            .delivery(Delivery::InputOrder);
-
-        let (new_answers, _) = engine.batch(&queries).options(options).collect();
-        for (legacy, new) in engine.run_batch(&queries, 3).iter().zip(new_answers.iter()) {
-            assert!(legacy.same_results(new));
-        }
-        let (scheduled, _) = engine.run_batch_scheduled(&queries, &options);
-        for (legacy, new) in scheduled.iter().zip(new_answers.iter()) {
-            assert!(legacy.same_results(new));
-        }
-        let (streamed, _) = engine.run_batch_streaming(&queries, &options, |stream| {
-            stream.collect::<Vec<(usize, Answer)>>()
-        });
-        assert_eq!(streamed.len(), queries.len());
-        let mut called = 0;
-        engine.run_batch_with(&queries, &options, |_, _| called += 1);
-        assert_eq!(called, queries.len());
-    }
-
-    /// The per-request epoch toggle overrides the engine option without
-    /// changing answers on a static (un-edited) dataset.
-    #[test]
-    fn epoch_validation_toggle_preserves_answers() {
-        let (entities, obstacles) = scene();
-        let engine = QueryEngine::new(&entities, &obstacles);
-        let queries = mixed_queries();
-        let (on, _) = engine.batch(&queries).epoch_validation(true).collect();
-        let (off, _) = engine.batch(&queries).epoch_validation(false).collect();
-        for (a, b) in on.iter().zip(off.iter()) {
-            assert!(a.same_results(b));
-        }
     }
 }

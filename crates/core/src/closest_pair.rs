@@ -47,8 +47,12 @@ pub fn closest_pairs(
     let t_io = (!same_tree).then(|| t.tree().io_snapshot());
     let obstacle_io = obstacles.tree().io_snapshot();
 
-    let mut result: Vec<(u64, u64, f64)> = Vec::with_capacity(k + 1);
-    let mut euclid_top_k: Vec<(u64, u64)> = Vec::with_capacity(k);
+    // `k` arrives from outside: the reservation is a hint bounded by the
+    // dataset size (the vectors grow past it when more pairs exist), so
+    // `k = usize::MAX` neither overflows `k + 1` nor aborts on it.
+    let reserve = k.min(s.len().max(t.len()));
+    let mut result: Vec<(u64, u64, f64)> = Vec::with_capacity(reserve + 1);
+    let mut euclid_top_k: Vec<(u64, u64)> = Vec::with_capacity(reserve);
     let mut candidates = 0usize;
     let mut distance_computations = 0usize;
     let mut peak_graph_nodes = 0usize;

@@ -422,12 +422,6 @@ pub struct EngineOptions {
     /// \[PV95\] noted in §2.3; paper: off). Results are identical —
     /// shortest waypoint-to-waypoint paths only turn at tangent vertices.
     pub tangent_filter: bool,
-    /// Validate cached scenes against the obstacle-set epoch before
-    /// reuse, retiring any scene whose region a later edit's dirty rect
-    /// intersects (on — required for correct answers under interleaved
-    /// updates). Off exists only so tests and ablations can demonstrate
-    /// the stale-scene failure mode.
-    pub epoch_validation: bool,
 }
 
 impl Default for EngineOptions {
@@ -440,7 +434,6 @@ impl Default for EngineOptions {
             seed_side_heuristic: true,
             ellipse_pruning: false,
             tangent_filter: false,
-            epoch_validation: true,
         }
     }
 }
@@ -490,11 +483,17 @@ impl<'a> QueryEngine<'a> {
     /// the unit square while queries carry real coordinates would clamp
     /// every Hilbert key to one corner cell.
     pub fn universe(&self) -> Rect {
-        self.obstacles
-            .extent()
-            .or_else(|| self.entities.extent())
-            .unwrap_or_else(|| Rect::from_coords(0.0, 0.0, 1.0, 1.0))
+        universe_of(self.obstacles, Some(self.entities))
     }
+}
+
+/// [`QueryEngine::universe`] for callers that may have no entity dataset
+/// (the free path functions): the one definition of the fallback chain.
+pub(crate) fn universe_of(obstacles: &ObstacleIndex, entities: Option<&EntityIndex>) -> Rect {
+    obstacles
+        .extent()
+        .or_else(|| entities.and_then(EntityIndex::extent))
+        .unwrap_or_else(|| Rect::from_coords(0.0, 0.0, 1.0, 1.0))
 }
 
 #[cfg(test)]
@@ -534,7 +533,6 @@ mod tests {
         assert_eq!(o.builder, EdgeBuilder::RotationalSweep);
         assert!(o.shrink_threshold && o.reuse_graph);
         assert!(o.hilbert_seed_order && o.seed_side_heuristic);
-        assert!(o.epoch_validation, "epoch validation is on by default");
     }
 
     #[test]

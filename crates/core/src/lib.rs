@@ -75,8 +75,8 @@ mod stats;
 mod updates;
 
 pub use batch::{
-    Answer, BatchOptions, BatchRequest, BatchStats, BatchStream, Delivery, Query, SceneBudget,
-    SceneCache, Schedule,
+    Answer, BatchRequest, BatchStats, BatchStream, Delivery, Query, SceneBudget, SceneCache,
+    Schedule,
 };
 pub use brute::BruteForce;
 pub use closest_pair::{closest_pairs, incremental_closest_pairs, IncrementalClosestPairs};

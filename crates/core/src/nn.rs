@@ -41,18 +41,18 @@ impl<'a> QueryEngine<'a> {
     /// ([`LocalGraph::sync`], before any waypoint is added) — see
     /// [`QueryEngine::range_in`].
     pub fn nearest_in(&self, graph: &mut LocalGraph, q: Point, k: usize) -> NearestResult {
-        if self.options.epoch_validation {
-            graph.sync(
-                self.obstacles,
-                crate::batch::SceneCache::slack_for(&self.universe()),
-            );
-        }
+        let slack = crate::batch::SceneCache::slack_over(self.obstacles, Some(self.entities));
+        graph.sync(self.obstacles, slack);
         let t0 = Stopwatch::start();
         let entity_io = self.entities.tree().io_snapshot();
         let obstacle_io = self.obstacles.tree().io_snapshot();
 
-        let mut result: Vec<(u64, f64)> = Vec::with_capacity(k + 1);
-        let mut euclid_top_k: Vec<u64> = Vec::with_capacity(k);
+        // `k` arrives from outside (a `serve` socket line): reserve for
+        // what the dataset can return, so `k = usize::MAX` neither
+        // overflows `k + 1` nor aborts on the reservation.
+        let reserve = k.min(self.entities.len());
+        let mut result: Vec<(u64, f64)> = Vec::with_capacity(reserve + 1);
+        let mut euclid_top_k: Vec<u64> = Vec::with_capacity(reserve);
         let mut candidates = 0usize;
         let mut distance_computations = 0usize;
         let mut peak_graph_nodes = 0usize;

@@ -49,12 +49,8 @@ pub fn shortest_obstructed_path(
 /// shortest paths resolve positionally, not by scene numbering.
 ///
 /// The reused scene is synchronized with the obstacle-set epoch first
-/// ([`LocalGraph::sync`], before the endpoint waypoints are added):
-/// unlike the engine operators there is no [`EngineOptions`] knob here,
-/// so validation is unconditional — a free-function caller has no
-/// ablation switch and must never see a stale path.
-///
-/// [`EngineOptions`]: crate::EngineOptions
+/// ([`LocalGraph::sync`], before the endpoint waypoints are added), so
+/// a free-function caller never sees a stale path either.
 pub fn shortest_obstructed_path_in(
     g: &mut LocalGraph,
     a: Point,
@@ -63,7 +59,7 @@ pub fn shortest_obstructed_path_in(
 ) -> Option<PathResult> {
     g.sync(
         obstacles,
-        crate::batch::SceneCache::slack_for(&obstacles.universe()),
+        crate::batch::SceneCache::slack_over(obstacles, None),
     );
     let na = g.add_waypoint(a, 0);
     let nb = g.add_waypoint(b, QUERY_TAG);

@@ -49,15 +49,10 @@ impl QueryEngine<'_> {
     /// A reused graph is first synchronized with the obstacle-set epoch
     /// ([`LocalGraph::sync`], before any waypoint is added): if an edit
     /// since its last sync dirtied a rect intersecting its region, the
-    /// scene is retired, so answers always reflect the live obstacle set
-    /// (the `epoch_validation` option disables this for ablation only).
+    /// scene is retired, so answers always reflect the live obstacle set.
     pub fn range_in(&self, graph: &mut LocalGraph, q: Point, e: f64) -> RangeResult {
-        if self.options.epoch_validation {
-            graph.sync(
-                self.obstacles,
-                crate::batch::SceneCache::slack_for(&self.universe()),
-            );
-        }
+        let slack = crate::batch::SceneCache::slack_over(self.obstacles, Some(self.entities));
+        graph.sync(self.obstacles, slack);
         let t0 = Stopwatch::start();
         let entity_io = self.entities.tree().io_snapshot();
         let obstacle_io = self.obstacles.tree().io_snapshot();

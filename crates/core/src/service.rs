@@ -42,7 +42,7 @@
 //! the index state identified by the completion's epoch pair. The
 //! `service` integration suite replays exactly that.
 
-use crate::batch::{hilbert_key, Answer, SceneBudget, SceneCache, Schedule};
+use crate::batch::{hilbert_key, Answer, SceneCache, Schedule};
 use crate::engine::{EngineOptions, EntityIndex, ObstacleIndex, QueryEngine};
 use crate::updates::{Update, UpdateStats};
 use crate::Query;
@@ -81,8 +81,6 @@ pub struct ServiceConfig {
     /// Claim-order policy: [`Schedule::Hilbert`] runs the elevator scan
     /// over the live queue, [`Schedule::InputOrder`] is FIFO.
     pub schedule: Schedule,
-    /// Scene-retirement budgets of each worker's [`SceneCache`].
-    pub budget: SceneBudget,
     /// Start with claiming paused: submissions queue (and admission
     /// applies) but nothing executes until [`QueryService::resume`].
     /// Lets tests — and staged warm-ups — fill the queue
@@ -97,7 +95,6 @@ impl Default for ServiceConfig {
             queue_depth: 64,
             admission: Admission::default(),
             schedule: Schedule::Hilbert,
-            budget: SceneBudget::default(),
             paused: false,
         }
     }
@@ -125,12 +122,6 @@ impl ServiceConfig {
     /// Same config with the given claim-order policy.
     pub fn schedule(mut self, schedule: Schedule) -> Self {
         self.schedule = schedule;
-        self
-    }
-
-    /// Same config with the given scene budgets.
-    pub fn budget(mut self, budget: SceneBudget) -> Self {
-        self.budget = budget;
         self
     }
 
@@ -692,7 +683,7 @@ fn worker_loop(
     world: &RwLock<World>,
     options: EngineOptions,
 ) -> (usize, usize, usize) {
-    let mut cache = SceneCache::with_budget(options, shared.config.budget);
+    let mut cache = SceneCache::new(options);
     loop {
         let claimed = {
             let mut q = shared.queue.lock();

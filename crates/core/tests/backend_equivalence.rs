@@ -19,7 +19,7 @@
 
 use obstacle_core::{
     closest_pairs, distance_join, incremental_closest_pairs, semi_join, shortest_obstructed_path,
-    Answer, BatchOptions, EngineOptions, EntityIndex, ObstacleIndex, Query, QueryEngine, Schedule,
+    Answer, EngineOptions, EntityIndex, ObstacleIndex, Query, QueryEngine, Schedule,
     SemiJoinStrategy,
 };
 use obstacle_datagen::{batch_workload, sample_entities, BatchMix, BatchQuery, City, CityConfig};
@@ -221,8 +221,11 @@ fn batch_engine_is_backend_invariant_at_every_thread_count() {
     for (name, engine) in [("paged", &paged), ("packed", &packed)] {
         for threads in [1usize, 2, 4, 8] {
             for schedule in [Schedule::InputOrder, Schedule::Hilbert] {
-                let options = BatchOptions::new(threads).schedule(schedule);
-                let (answers, _) = engine.batch(&queries).options(options).collect();
+                let (answers, _) = engine
+                    .batch(&queries)
+                    .threads(threads)
+                    .schedule(schedule)
+                    .collect();
                 for (i, (a, o)) in answers.iter().zip(oracle.iter()).enumerate() {
                     assert!(
                         a.same_results(o),

@@ -1,6 +1,6 @@
 //! Wall-clock smoke gate for the concurrent batch engine.
 //!
-//! An 8-thread `run_batch` over a mixed point-query workload must beat
+//! An 8-thread `engine.batch(..)` over a mixed point-query workload must beat
 //! the 1-thread run by ≥ 2× on the benchmark city — *when the hardware
 //! can express it*. CI containers are frequently pinned to a single core
 //! (`available_parallelism() == 1`); there the speedup assertion is

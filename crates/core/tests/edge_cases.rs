@@ -121,9 +121,13 @@ fn closest_pairs_with_k_exceeding_pair_count() {
         vec![Point::new(0.2, 0.2), Point::new(0.3, 0.3)],
     );
     let obstacles = no_obstacles();
-    let r = closest_pairs(&s, &t, &obstacles, 10, EngineOptions::default());
-    assert_eq!(r.pairs.len(), 2);
-    assert!(r.pairs[0].2 <= r.pairs[1].2);
+    // `usize::MAX` is what a hostile `k` saturates to: it must be a
+    // large k like any other, not a capacity-overflow panic.
+    for k in [10, usize::MAX] {
+        let r = closest_pairs(&s, &t, &obstacles, k, EngineOptions::default());
+        assert_eq!(r.pairs.len(), 2);
+        assert!(r.pairs[0].2 <= r.pairs[1].2);
+    }
 }
 
 #[test]
@@ -152,7 +156,6 @@ fn very_large_k_on_obstructed_scene_is_complete() {
         vec![square(0.3, 0.3, 0.45, 0.7), square(0.6, 0.1, 0.7, 0.5)],
     );
     let engine = QueryEngine::new(&entities, &obstacles);
-    let nn = engine.nearest(Point::new(0.5, 0.5), 30);
     // Entities that fall strictly inside an obstacle are unreachable and
     // must be skipped; every other entity must be reported.
     let reachable = pts
@@ -164,8 +167,13 @@ fn very_large_k_on_obstructed_scene_is_complete() {
         })
         .count();
     assert!(reachable < 30, "test scene should trap a few entities");
-    assert_eq!(nn.neighbors.len(), reachable);
-    for w in nn.neighbors.windows(2) {
-        assert!(w[0].1 <= w[1].1 + 1e-12);
+    // `usize::MAX` (what a hostile `k` saturates to) is a large k like
+    // any other, not a `k + 1` overflow.
+    for k in [30, usize::MAX] {
+        let nn = engine.nearest(Point::new(0.5, 0.5), k);
+        assert_eq!(nn.neighbors.len(), reachable);
+        for w in nn.neighbors.windows(2) {
+            assert!(w[0].1 <= w[1].1 + 1e-12);
+        }
     }
 }

@@ -305,7 +305,6 @@ fn every_ablation_produces_identical_results() {
             seed_side_heuristic: false,
             ellipse_pruning: true,
             tangent_filter: true,
-            epoch_validation: true,
         },
     ];
     for opts in all_options {

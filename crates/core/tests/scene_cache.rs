@@ -3,8 +3,7 @@
 //! rebuilt — answers match fresh-scene execution under every setting.
 
 use obstacle_core::{
-    BatchOptions, EngineOptions, EntityIndex, ObstacleIndex, Query, QueryEngine, SceneBudget,
-    SceneCache,
+    EngineOptions, EntityIndex, ObstacleIndex, Query, QueryEngine, SceneBudget, SceneCache,
 };
 use obstacle_datagen::{sample_entities, City, CityConfig};
 use obstacle_geom::{Point, Rect};
@@ -197,12 +196,9 @@ fn region_jump_mid_batch_retires_the_cache_and_answers_hold() {
 
     let sequential: Vec<_> = queries.iter().map(|q| engine.execute(q)).collect();
     let mut streamed = vec![None; queries.len()];
-    let stats = engine
-        .batch(&queries)
-        .options(BatchOptions::new(1))
-        .each(|i, a| {
-            streamed[i] = Some(a);
-        });
+    let stats = engine.batch(&queries).threads(1).each(|i, a| {
+        streamed[i] = Some(a);
+    });
     for (i, (s, f)) in streamed.iter().zip(sequential.iter()).enumerate() {
         assert!(
             s.as_ref().expect("delivered").same_results(f),

@@ -4,7 +4,7 @@
 //! the locality the input order scattered (the aggregate `SceneCache`
 //! hit count under `Hilbert` is at least the `InputOrder` count).
 
-use obstacle_core::{Answer, BatchOptions, Query, QueryEngine, Schedule, SemiJoinStrategy};
+use obstacle_core::{Answer, Query, QueryEngine, Schedule, SemiJoinStrategy};
 use obstacle_core::{EntityIndex, ObstacleIndex};
 use obstacle_datagen::{
     clustered_batch_workload, sample_entities, BatchMix, BatchQuery, City, CityConfig, ClusterSpec,
@@ -70,8 +70,11 @@ fn scheduling_permutes_only_execution_order_never_answers() {
 
     for threads in [1usize, 4] {
         for schedule in [Schedule::InputOrder, Schedule::Hilbert] {
-            let options = BatchOptions::new(threads).schedule(schedule);
-            let (answers, stats) = engine.batch(&queries).options(options).collect();
+            let (answers, stats) = engine
+                .batch(&queries)
+                .threads(threads)
+                .schedule(schedule)
+                .collect();
             assert_eq!(stats.workers, threads);
             for (i, (p, s)) in answers.iter().zip(sequential.iter()).enumerate() {
                 assert!(
@@ -100,8 +103,11 @@ fn scheduling_preserves_per_query_io_attribution() {
         for threads in [4usize] {
             entities.tree().reset_io_stats();
             obstacles.tree().reset_io_stats();
-            let options = BatchOptions::new(threads).schedule(schedule);
-            let (answers, _) = engine.batch(&queries).options(options).collect();
+            let (answers, _) = engine
+                .batch(&queries)
+                .threads(threads)
+                .schedule(schedule)
+                .collect();
             let (mut entity_fetches, mut obstacle_fetches) = (0u64, 0u64);
             for a in &answers {
                 let s = a.stats().expect("point-query workload carries stats");
@@ -138,11 +144,13 @@ fn hilbert_recovers_the_locality_input_order_scattered() {
     for threads in [1usize, 2] {
         let (a_input, s_input) = engine
             .batch(&queries)
-            .options(BatchOptions::new(threads).schedule(Schedule::InputOrder))
+            .threads(threads)
+            .schedule(Schedule::InputOrder)
             .collect();
         let (a_hilbert, s_hilbert) = engine
             .batch(&queries)
-            .options(BatchOptions::new(threads).schedule(Schedule::Hilbert))
+            .threads(threads)
+            .schedule(Schedule::Hilbert)
             .collect();
         for (i, (p, s)) in a_hilbert.iter().zip(a_input.iter()).enumerate() {
             assert!(p.same_results(s), "query {i} at {threads} threads");

@@ -1,6 +1,6 @@
 //! Batch determinism and I/O-accounting exactness with the PR 4
 //! concurrency machinery fully enabled: lock-striped buffer pools on both
-//! R-trees and per-worker cross-query scene caches in `run_batch`.
+//! R-trees and per-worker cross-query scene caches in `engine.batch(..)`.
 
 use obstacle_core::{Answer, EntityIndex, ObstacleIndex, Query, QueryEngine};
 use obstacle_datagen::{query_workload, sample_entities, City, CityConfig};

@@ -6,9 +6,9 @@
 //! batch — on both storage backends, at 1 and 4 worker threads, under
 //! both schedules, and through one scene cache that survives every edit.
 //! Also pins the PR 7 fixes individually: the would-have-been-stale
-//! scene repro (which fails with `epoch_validation: false`), exact
-//! retire/reuse counts, the universe fallback for emptied obstacle sets,
-//! no id resurrection, and one re-pack per batch on the packed backend.
+//! scene repro, exact retire/reuse counts, the universe fallback for
+//! emptied obstacle sets, no id resurrection, and one re-pack per batch
+//! on the packed backend.
 //!
 //! Fresh-built indexes assign ids `0..n` in live order, so fresh answers
 //! are remapped to original ids before comparison; distances compare by
@@ -16,8 +16,8 @@
 //! backend-equivalence suite already uses.
 
 use obstacle_core::{
-    Answer, BatchOptions, EngineOptions, EntityIndex, ObstacleIndex, Query, QueryEngine,
-    SceneCache, Schedule, SemiJoinStrategy, Update,
+    Answer, EngineOptions, EntityIndex, ObstacleIndex, Query, QueryEngine, SceneCache, Schedule,
+    SemiJoinStrategy, Update,
 };
 use obstacle_datagen::{sample_entities, City, CityConfig};
 use obstacle_geom::{hilbert_index_unit, Point, Polygon, Rect};
@@ -183,8 +183,11 @@ fn run_interleaved(backend: Backend) -> Vec<Vec<Vec<(u64, u64, u64)>>> {
         // The batch engine, all thread/schedule combinations.
         for threads in [1, 4] {
             for schedule in [Schedule::InputOrder, Schedule::Hilbert] {
-                let opts = BatchOptions::new(threads).schedule(schedule);
-                let (answers, _) = engine.batch(&queries).options(opts).collect();
+                let (answers, _) = engine
+                    .batch(&queries)
+                    .threads(threads)
+                    .schedule(schedule)
+                    .collect();
                 for ((a, want), q) in answers.iter().zip(&expected).zip(&queries) {
                     assert_eq!(
                         &canon(a, None),
@@ -211,12 +214,12 @@ fn interleaved_edits_match_fresh_engine_packed_and_backends_agree() {
     assert_eq!(paged, packed, "backends must agree after every edit batch");
 }
 
-/// The PR 7 bug, reproduced: without epoch validation a warm scene keeps
-/// serving a deleted wall, so the nearest neighbour stays rerouted long
-/// after the obstacle is gone. The same sequence through a validating
-/// engine retires the scene (exactly once) and answers from live data.
+/// The PR 7 bug, pinned: a warm scene that kept serving a deleted wall
+/// would leave the nearest neighbour rerouted long after the obstacle is
+/// gone. Every scene reuse is validated against the obstacle-set epoch,
+/// so the scene is retired (exactly once) and the answer is live data.
 #[test]
-fn stale_scene_repro_fails_without_epoch_validation() {
+fn stale_scene_repro_retires_the_warm_scene() {
     let config = RTreeConfig::tiny(4);
     let pts = vec![Point::new(2.0, 0.0), Point::new(0.0, 2.2)];
     let wall = square(1.0, -2.0, 1.2, 2.0);
@@ -225,36 +228,23 @@ fn stale_scene_repro_fails_without_epoch_validation() {
         k: 1,
     };
 
-    for validation in [false, true] {
-        let opts = EngineOptions {
-            epoch_validation: validation,
-            ..Default::default()
-        };
-        let mut entities = EntityIndex::build(config, pts.clone());
-        let mut obstacles = ObstacleIndex::build(config, vec![wall.clone()]);
-        let mut cache = SceneCache::new(opts);
-        {
-            let engine = QueryEngine::with_options(&entities, &obstacles, opts);
-            let warm = engine.execute_with(&q, &mut cache);
-            assert_eq!(nearest_id(&warm), 1, "the wall reroutes the NN");
-        }
-        QueryEngine::apply_updates(
-            &mut entities,
-            &mut obstacles,
-            vec![Update::DeleteObstacle(0)],
-        );
-        let engine = QueryEngine::with_options(&entities, &obstacles, opts);
-        let after = engine.execute_with(&q, &mut cache);
-        if validation {
-            assert_eq!(nearest_id(&after), 0, "scene retired, live answer");
-            assert_eq!(cache.invalidations(), 1, "exactly one retirement");
-        } else {
-            // The stale failure mode this PR fixes: the resident wall is
-            // gone from the dataset but still blocks the cached scene.
-            assert_eq!(nearest_id(&after), 1, "ablation serves the stale NN");
-            assert_eq!(cache.invalidations(), 0);
-        }
+    let mut entities = EntityIndex::build(config, pts);
+    let mut obstacles = ObstacleIndex::build(config, vec![wall]);
+    let mut cache = SceneCache::new(EngineOptions::default());
+    {
+        let engine = QueryEngine::new(&entities, &obstacles);
+        let warm = engine.execute_with(&q, &mut cache);
+        assert_eq!(nearest_id(&warm), 1, "the wall reroutes the NN");
     }
+    QueryEngine::apply_updates(
+        &mut entities,
+        &mut obstacles,
+        vec![Update::DeleteObstacle(0)],
+    );
+    let engine = QueryEngine::new(&entities, &obstacles);
+    let after = engine.execute_with(&q, &mut cache);
+    assert_eq!(nearest_id(&after), 0, "scene retired, live answer");
+    assert_eq!(cache.invalidations(), 1, "exactly one retirement");
 }
 
 /// Scenes are retired **only** when an edit's dirty rect intersects the

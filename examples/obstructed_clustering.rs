@@ -7,11 +7,12 @@
 //! clusters even when they almost touch in Euclidean space. Each
 //! iteration's assignment step is one batch of obstacle-NN probes
 //! (every point against the current medoid set), issued through
-//! `run_batch_streaming` with the **Hilbert schedule** — assignments are
-//! consumed as workers finish them, and spatially adjacent probes run
-//! back-to-back so each worker's scene cache stays warm. The example
-//! also runs the first assignment batch under both schedules to show the
-//! scene-cache hit-count gap the scheduler exists to create.
+//! `engine.batch(..).stream(..)` with the **Hilbert schedule** —
+//! assignments are consumed as workers finish them, and spatially
+//! adjacent probes run back-to-back so each worker's scene cache stays
+//! warm. The example also runs the first assignment batch under both
+//! schedules to show the scene-cache hit-count gap the scheduler exists
+//! to create.
 //!
 //! ```sh
 //! cargo run --release --example obstructed_clustering
@@ -21,9 +22,7 @@ use obstacle_suite::datagen::{
     clustered_batch_workload, BatchMix, BatchQuery, City, CityConfig, ClusterSpec,
 };
 use obstacle_suite::geom::{hilbert_index_unit, Point};
-use obstacle_suite::queries::{
-    Answer, BatchOptions, EntityIndex, ObstacleIndex, Query, QueryEngine, Schedule,
-};
+use obstacle_suite::queries::{Answer, EntityIndex, ObstacleIndex, Query, QueryEngine, Schedule};
 use obstacle_suite::rtree::RTreeConfig;
 
 const K: usize = 4;
@@ -80,7 +79,7 @@ fn main() {
         );
         let engine = QueryEngine::new(&medoid_index, &obstacles);
         let probes: Vec<Query> = points.iter().map(|&q| Query::Nearest { q, k: 1 }).collect();
-        let options = BatchOptions::new(THREADS).schedule(Schedule::Hilbert);
+        let request = engine.batch(&probes).threads(THREADS);
 
         if iteration == 0 {
             // Same batch, both claim orders: the answers are identical
@@ -90,10 +89,7 @@ fn main() {
                 ("input-order", Schedule::InputOrder),
                 ("hilbert    ", Schedule::Hilbert),
             ] {
-                let (_, stats) = engine
-                    .batch(&probes)
-                    .options(BatchOptions::new(THREADS).schedule(schedule))
-                    .collect();
+                let (_, stats) = request.schedule(schedule).collect();
                 println!(
                     "  schedule {name}: {} scene reuse(s), {} reset(s) across {} worker(s)",
                     stats.scene_reuses, stats.scene_resets, stats.workers
@@ -102,7 +98,7 @@ fn main() {
         }
 
         let mut cost = 0.0f64;
-        let (moved, _stats) = engine.batch(&probes).options(options).stream(|stream| {
+        let (moved, _stats) = request.schedule(Schedule::Hilbert).stream(|stream| {
             // Assignments land while later probes are still running —
             // a real consumer would start updating cluster summaries
             // here instead of waiting for the barrier.

@@ -201,10 +201,11 @@ fn semi_join_agrees_with_per_point_nearest() {
 }
 
 #[test]
-fn run_batch_is_thread_count_invariant() {
+fn batch_is_thread_count_invariant() {
     // The batch engine's determinism contract: for every operator, the
-    // answers of `run_batch` at any thread count are result-identical to
-    // the sequential loop, and land at their input index.
+    // answers of `engine.batch(..)` at any thread count are
+    // result-identical to the sequential loop, and land at their input
+    // index.
     use obstacle_suite::queries::{Answer, Query, SemiJoinStrategy};
     let w = world(10);
     let engine = QueryEngine::new(&w.entities, &w.obstacles);
@@ -248,14 +249,12 @@ fn run_batch_is_thread_count_invariant() {
 }
 
 #[test]
-fn streaming_batches_match_run_batch_and_sequential_under_every_schedule() {
-    // The streaming determinism contract: `run_batch_streaming` collected
-    // and re-ordered equals `run_batch` equals the sequential loop, at
+fn streaming_batches_match_collected_and_sequential_under_every_schedule() {
+    // The streaming determinism contract: `.stream(..)` collected and
+    // re-ordered equals `.collect()` equals the sequential loop, at
     // 1/2/4/8 threads × both schedules × all six operators. Scheduling
     // and streaming may change *when* a query runs — never its answer.
-    use obstacle_suite::queries::{
-        Answer, BatchOptions, Delivery, Query, Schedule, SemiJoinStrategy,
-    };
+    use obstacle_suite::queries::{Answer, Delivery, Query, Schedule, SemiJoinStrategy};
     let w = world(11);
     let engine = QueryEngine::new(&w.entities, &w.obstacles);
 
@@ -287,16 +286,14 @@ fn streaming_batches_match_run_batch_and_sequential_under_every_schedule() {
         for (i, (p, s)) in batch.iter().zip(sequential.iter()).enumerate() {
             assert!(
                 p.same_results(s),
-                "run_batch query {i} diverged at {threads} threads"
+                "collected query {i} diverged at {threads} threads"
             );
         }
         for schedule in [Schedule::InputOrder, Schedule::Hilbert] {
-            let options = BatchOptions::new(threads).schedule(schedule);
-            let (scheduled, _) = engine.batch(&queries).options(options).collect();
-            let (mut streamed, _) = engine
-                .batch(&queries)
-                .options(options)
-                .stream(|stream| stream.collect::<Vec<(usize, Answer)>>());
+            let request = engine.batch(&queries).threads(threads).schedule(schedule);
+            let (scheduled, _) = request.collect();
+            let (mut streamed, _) =
+                request.stream(|stream| stream.collect::<Vec<(usize, Answer)>>());
             streamed.sort_by_key(|(i, _)| *i);
             assert_eq!(streamed.len(), queries.len());
             for (i, ((idx, st), sq)) in streamed.iter().zip(sequential.iter()).enumerate() {
@@ -313,12 +310,11 @@ fn streaming_batches_match_run_batch_and_sequential_under_every_schedule() {
         }
         // In-order delivery under the Hilbert schedule: the re-order
         // buffer must emit exactly 0, 1, 2, … with unchanged answers.
-        let options = BatchOptions::new(threads)
-            .schedule(Schedule::Hilbert)
-            .delivery(Delivery::InputOrder);
         let (in_order, _) = engine
             .batch(&queries)
-            .options(options)
+            .threads(threads)
+            .schedule(Schedule::Hilbert)
+            .delivery(Delivery::InputOrder)
             .stream(|stream| stream.collect::<Vec<(usize, Answer)>>());
         for (i, (idx, a)) in in_order.iter().enumerate() {
             assert_eq!(i, *idx, "in-order delivery broke at {threads} threads");
