@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md §6.
+//! Ablation benchmarks for the paper's §4–§6 design choices.
 //!
 //! Each ablation toggles exactly one knob of the paper's design and
 //! reports the cost difference on the same workload (results are verified
@@ -10,9 +10,7 @@
 //! 4. ONN shrinking threshold on/off — candidate pruning (§4);
 //! 5. sweep vs naive edge construction for OR (§2.3/[SS84]);
 //! 6. R* insertion vs STR vs Hilbert bulk loading — tree quality;
-//! 7. iOCP vs OCP — cost of incrementality (§6);
-//! 8. ellipse vs disk search regions in Fig. 8 (extension);
-//! 9. tangent visibility-graph filter [PV95] for OR (extension).
+//! 7. iOCP vs OCP — cost of incrementality (§6).
 
 use obstacle_bench::{Scale, Workbench};
 use obstacle_core::{
@@ -37,80 +35,6 @@ fn main() {
     or_sweep_vs_naive(&w);
     loading_strategies(&w);
     iocp_vs_ocp(&w);
-    ellipse_vs_disk(&w);
-    tangent_filter(&w);
-}
-
-fn ellipse_vs_disk(w: &Workbench) {
-    let entities = w.entity_index(w.scale.entity_count(0.1), 208);
-    let k = grid::DEFAULT_K;
-    println!(
-        "-- Fig. 8 search region: disk around q (paper) vs p/q ellipse (k = {k}, sparse |P|) --"
-    );
-    println!(
-        "  {:<34}{:>14}{:>14}{:>12}",
-        "region", "obst. reads", "graph nodes", "CPU (ms)"
-    );
-    let mut reference: Option<Vec<u64>> = None;
-    for (name, ellipse) in [("disk (paper)", false), ("ellipse", true)] {
-        let opts = EngineOptions {
-            ellipse_pruning: ellipse,
-            ..Default::default()
-        };
-        w.reset_io(&[&entities]);
-        let engine = QueryEngine::with_options(&entities, &w.obstacles, opts);
-        let (mut cpu, mut peak, mut reads) = (0.0f64, 0usize, 0u64);
-        let mut ids: Vec<u64> = Vec::new();
-        for q in w.queries() {
-            let r = engine.nearest(q, k);
-            cpu += r.stats.cpu.as_secs_f64() * 1e3;
-            peak = peak.max(r.stats.peak_graph_nodes);
-            reads += r.stats.obstacle_reads;
-            ids.extend(r.neighbors.iter().map(|(id, _)| *id));
-        }
-        if let Some(rf) = &reference {
-            assert_eq!(rf, &ids, "pruning must not change results");
-        } else {
-            reference = Some(ids);
-        }
-        let n = w.scale.queries as f64;
-        println!(
-            "  {:<34}{:>14.2}{:>14}{:>12.2}",
-            name,
-            reads as f64 / n,
-            peak,
-            cpu / n
-        );
-    }
-    println!();
-}
-
-fn tangent_filter(w: &Workbench) {
-    let entities = w.entity_index(w.scale.entity_count(2.0), 209);
-    let e = w.range_from_fraction(grid::DEFAULT_RANGE_FRACTION * 5.0);
-    println!("-- OR: tangent visibility-graph filter [PV95] (e scaled x5) --");
-    println!("  {:<34}{:>12}{:>12}", "variant", "CPU (ms)", "results");
-    for (name, tangent) in [("full graph (paper)", false), ("tangent filter", true)] {
-        let opts = EngineOptions {
-            tangent_filter: tangent,
-            ..Default::default()
-        };
-        w.reset_io(&[&entities]);
-        let engine = QueryEngine::with_options(&entities, &w.obstacles, opts);
-        let (mut cpu, mut results) = (0.0f64, 0usize);
-        for q in w.queries() {
-            let r = engine.range(q, e);
-            cpu += r.stats.cpu.as_secs_f64() * 1e3;
-            results += r.hits.len();
-        }
-        println!(
-            "  {:<34}{:>12.2}{:>12}",
-            name,
-            cpu / w.scale.queries as f64,
-            results
-        );
-    }
-    println!();
 }
 
 fn odj_hilbert_and_seed_side(w: &Workbench) {

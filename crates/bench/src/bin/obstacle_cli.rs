@@ -18,11 +18,8 @@
 //!                     [--generate N --rate R] [--listen HOST:PORT]
 //! ```
 //!
-//! `--shards N` stripes each tree's LRU buffer pool across `N` locks
-//! (default 1, the paper's single buffer; see `RTreeConfig::striped`).
 //! `--backend packed` swaps the paged R*-tree for the packed static tree
-//! (one contiguous buffer, lock-free reads; `--shards` then has no
-//! effect on tree access).
+//! (one contiguous buffer, lock-free reads).
 //! `--schedule hilbert` claims batch queries in Hilbert order of their
 //! regions (scene-cache locality), `--stream` prints answers as workers
 //! finish them instead of waiting for the whole batch, and
@@ -67,7 +64,6 @@ struct CommonOpts {
     backend: Backend,
     entities: usize,
     threads: usize,
-    shards: usize,
     /// `None` = flag absent. For `batch` that selects the legacy
     /// thread-sweep path (passing `--schedule`, either value, selects
     /// the scheduled single-run path, so `--schedule input` and
@@ -105,11 +101,6 @@ impl CommonOpts {
                 self.threads = value("--threads")
                     .parse()
                     .unwrap_or_else(|_| usage("bad --threads"))
-            }
-            "--shards" => {
-                self.shards = value("--shards")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --shards"))
             }
             "--schedule" => {
                 self.schedule = Some(match value("--schedule").as_str() {
@@ -171,13 +162,11 @@ fn main() {
     }
 }
 
-/// Tree configuration of this invocation: the paper's cost model,
-/// buffer-striped when `--shards` asks for it, on the storage backend
-/// `--backend` selects (paged R*-tree or packed static tree).
+/// Tree configuration of this invocation: the paper's cost model on the
+/// storage backend `--backend` selects (paged R*-tree or packed static
+/// tree).
 fn tree_config(args: &Args) -> RTreeConfig {
-    RTreeConfig::paper()
-        .striped(args.common.shards)
-        .with_backend(args.common.backend)
+    RTreeConfig::paper().with_backend(args.common.backend)
 }
 
 fn world(args: &Args) -> (City, ObstacleIndex) {
@@ -996,7 +985,6 @@ fn parse_args() -> Args {
             backend: Backend::Paged,
             entities: 4_096,
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            shards: 1,
             schedule: None,
         },
         s_count: 2_048,
@@ -1128,7 +1116,6 @@ fn usage(err: &str) -> ! {
          \x20       time-to-answer at exit)\n\
          common flags: --obstacles N (16384) --seed S --entities N (4096)\n\
          \x20              --threads T --schedule input|hilbert\n\
-         \x20              --shards N (1: buffer-pool lock stripes per tree)\n\
          \x20              --backend paged|packed (paged: the R*-tree over\n\
          \x20              simulated disk pages; packed: the static\n\
          \x20              single-buffer tree, lock-free reads)"

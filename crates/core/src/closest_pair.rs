@@ -1,6 +1,6 @@
 //! Obstacle closest-pair queries (OCP — §6, Fig. 11; iOCP — Fig. 12).
 
-use crate::distance::{compute_obstructed_distance_pruned, LocalGraph};
+use crate::distance::{compute_obstructed_distance, LocalGraph};
 use crate::engine::{EngineOptions, EntityIndex, ObstacleIndex};
 use crate::stats::{ClosestPairsResult, QueryStats};
 use crate::QUERY_TAG;
@@ -21,7 +21,7 @@ fn pair_distance(
     let mut g = LocalGraph::new(options.builder);
     let na = g.add_waypoint(a, 0);
     let nb = g.add_waypoint(b, QUERY_TAG);
-    let d = compute_obstructed_distance_pruned(&mut g, na, nb, obstacles, options.ellipse_pruning);
+    let d = compute_obstructed_distance(&mut g, na, nb, obstacles);
     *peak_graph_nodes = (*peak_graph_nodes).max(g.scene.node_count());
     d
 }

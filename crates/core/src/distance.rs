@@ -13,10 +13,9 @@
 //! This module keeps the same fixpoint argument but runs it over a
 //! [`LazyScene`]: obstacles are *registered* (classification bookkeeping
 //! only) and visibility is computed on demand, one rotational sweep per
-//! node that A\* actually settles. The search region is either the
-//! paper's disk around `q` or the strictly tighter ellipse
-//! `|x−p| + |x−q| ≤ d` (both certify the same fixpoint; see
-//! [`compute_obstructed_distance_pruned`]).
+//! node that A\* actually settles. The search region is the ellipse
+//! `|x−p| + |x−q| ≤ d` rather than the paper's disk around `q` — the one
+//! documented deviation from Fig. 8 (see [`compute_obstructed_path`]).
 
 use crate::engine::ObstacleIndex;
 use obstacle_geom::{Point, Rect};
@@ -123,9 +122,9 @@ impl LocalGraph {
     }
 
     /// Registers every not-yet-present obstacle of `items` with the
-    /// scene; returns how many were new. The search regions themselves
-    /// (disk or ellipse MBR bounds) live in
-    /// [`compute_obstructed_path_pruned`], the only absorption driver.
+    /// scene; returns how many were new. The search region itself (the
+    /// ellipse MBR bound) lives in [`compute_obstructed_path`], the only
+    /// fixpoint absorption driver.
     fn absorb(
         &mut self,
         obstacles: &ObstacleIndex,
@@ -157,46 +156,15 @@ impl LocalGraph {
 /// Computes the exact obstructed distance `d_O(p, q)` (Fig. 8).
 ///
 /// `graph` must already contain the waypoints `p` and `q`; any obstacles
-/// (and cached visibility) already present are reused. Uses the paper's
-/// disk-shaped search regions; see [`compute_obstructed_distance_pruned`]
-/// for the algorithm and the region choice.
+/// (and cached visibility) already present are reused. See
+/// [`compute_obstructed_path`] for the algorithm.
 pub fn compute_obstructed_distance(
     graph: &mut LocalGraph,
     p: NodeId,
     q: NodeId,
     obstacles: &ObstacleIndex,
 ) -> Option<f64> {
-    compute_obstructed_distance_pruned(graph, p, q, obstacles, false)
-}
-
-/// [`compute_obstructed_distance`] with a choice of search region.
-///
-/// With `ellipse = false` the search regions are the paper's disks around
-/// `q` (Fig. 8). With `ellipse = true` they are the strictly tighter
-/// ellipses with foci `p` and `q` and major axis equal to the provisional
-/// distance — any path of length ≤ `d` from `p` to `q` lies inside that
-/// ellipse, so the fixpoint argument is unchanged while fewer obstacles
-/// qualify (see the `ellipse_pruning` ablation).
-pub fn compute_obstructed_distance_pruned(
-    graph: &mut LocalGraph,
-    p: NodeId,
-    q: NodeId,
-    obstacles: &ObstacleIndex,
-    ellipse: bool,
-) -> Option<f64> {
-    compute_obstructed_path_pruned(graph, p, q, obstacles, ellipse).map(|path| path.distance)
-}
-
-/// Computes the exact shortest obstructed *path* from `p` to `q` using
-/// the ellipse search region (the tighter of the two valid regions;
-/// results are identical either way).
-pub fn compute_obstructed_path(
-    graph: &mut LocalGraph,
-    p: NodeId,
-    q: NodeId,
-    obstacles: &ObstacleIndex,
-) -> Option<PathResult> {
-    compute_obstructed_path_pruned(graph, p, q, obstacles, true)
+    compute_obstructed_path(graph, p, q, obstacles).map(|path| path.distance)
 }
 
 /// The lazy A\* engine behind every obstructed distance and path:
@@ -212,6 +180,12 @@ pub fn compute_obstructed_path(
 ///    repeat until a range adds no obstacle the scene lacks. Because any
 ///    path of length ≤ `d` stays inside the region of size `d`, the
 ///    fixpoint distance is exact.
+///
+/// The region of size `d` is the ellipse with foci `p` and `q` and major
+/// axis `d`, not the paper's disk of radius `d` around `q`: a `p`→`q`
+/// path of length ≤ `d` through `x` has `d_E(p,x) + d_E(x,q) ≤ d_O(p,x) +
+/// d_O(x,q) ≤ d`, so the same fixpoint argument holds on the tighter
+/// region and fewer obstacles qualify.
 ///
 /// Each absorption round invalidates cached sweeps (the scene changed),
 /// so the loop *prefetches* a slightly larger region than it certifies —
@@ -230,15 +204,14 @@ pub fn compute_obstructed_path(
 /// absorbed obstacle). There is no radius-doubling rescue phase; the
 /// seed implementation needed one only because its materialized graph
 /// could be legitimately disconnected mid-growth.
-pub fn compute_obstructed_path_pruned(
+pub fn compute_obstructed_path(
     graph: &mut LocalGraph,
     p: NodeId,
     q: NodeId,
     obstacles: &ObstacleIndex,
-    ellipse: bool,
 ) -> Option<PathResult> {
     // A sweep's A* expansion is unbounded and re-enters the buffer pool:
-    // entering one while holding a shard lock is a deadlock waiting for
+    // entering one while holding the buffer lock is a deadlock waiting for
     // contention. Debug builds enforce that invariant here.
     obstacle_rtree::sync::assert_unlocked("LazyScene sweep (obstructed path)");
     let p_pos = graph.scene.position(p);
@@ -251,17 +224,11 @@ pub fn compute_obstructed_path_pruned(
         });
     }
 
-    // MBR lower bound on `|x−p| + |x−q|` (ellipse) or `|x−q|` (disk) over
-    // an obstacle's rectangle: the R-tree absorption predicate. A bound
-    // ≤ d is necessary for the obstacle to intersect the region of
-    // size d, so absorbing every such obstacle certifies the region.
-    let bound = |r: &Rect| {
-        if ellipse {
-            r.mindist_point(p_pos) + r.mindist_point(q_pos)
-        } else {
-            r.mindist_point(q_pos)
-        }
-    };
+    // MBR lower bound on `|x−p| + |x−q|` over an obstacle's rectangle:
+    // the R-tree absorption predicate. A bound ≤ d is necessary for the
+    // obstacle to intersect the ellipse of size d, so absorbing every
+    // such obstacle certifies the region.
+    let bound = |r: &Rect| r.mindist_point(p_pos) + r.mindist_point(q_pos);
     // Prefetch margin beyond the certified region, seeded at a couple of
     // typical obstacle diameters — the detour overhead a dense scene
     // imposes — and doubled (or raised to the observed overhead)
@@ -274,9 +241,9 @@ pub fn compute_obstructed_path_pruned(
     let typical_diag = (universe.area() / obstacles.len().max(1) as f64).sqrt();
     let mut prefetch = (2.0 * typical_diag).max(1e-3 * euclid);
     // Every absorbed obstacle has MBR bound ≤ t, hence `mindist(MBR, q)
-    // ≤ t` in both region modes (the ellipse bound dominates the disk
-    // bound) — so the disk around `q` of radius t, boxed, certifies the
-    // round for epoch validation.
+    // ≤ t` (the ellipse bound dominates the disk bound) — so the disk
+    // around `q` of radius t, boxed, certifies the round for epoch
+    // validation.
     graph.note_region(Rect::from_point(q_pos).expanded(euclid + prefetch));
     graph.absorb(
         obstacles,
@@ -318,7 +285,7 @@ pub fn compute_obstructed_path_pruned(
 /// demand instead of materializing the local graph.
 ///
 /// Unlike the point-to-point fixpoint of
-/// [`compute_obstructed_path_pruned`], the certified region is known up
+/// [`compute_obstructed_path`], the certified region is known up
 /// front: any path of length ≤ `e` from `q` stays inside the disk of
 /// radius `e`, so a single R-tree range absorbs every obstacle that can
 /// influence the result, and one bounded Dijkstra expansion settles nodes
@@ -449,32 +416,6 @@ mod tests {
         let d = dist_through(obs.clone(), a, b).unwrap();
         assert!(d >= a.dist(b) - 1e-12);
         assert_eq!(dist_through(obs, a, a), Some(0.0));
-    }
-
-    #[test]
-    fn ellipse_and_disk_regions_agree() {
-        let walls = vec![
-            square(0.3, 0.1, 0.35, 0.9),
-            square(0.6, -0.4, 0.65, 0.5),
-            square(0.1, -0.2, 0.9, -0.1),
-        ];
-        let idx = ObstacleIndex::build(RTreeConfig::tiny(8), walls);
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(1.0, 0.3);
-        let mut results = Vec::new();
-        for ellipse in [false, true] {
-            let mut g = LocalGraph::new(EdgeBuilder::RotationalSweep);
-            let pa = g.add_waypoint(a, 0);
-            let pb = g.add_waypoint(b, QUERY_TAG);
-            results
-                .push(compute_obstructed_distance_pruned(&mut g, pa, pb, &idx, ellipse).unwrap());
-        }
-        assert!(
-            (results[0] - results[1]).abs() < 1e-12,
-            "disk {} vs ellipse {}",
-            results[0],
-            results[1]
-        );
     }
 
     #[test]

@@ -395,8 +395,9 @@ impl ObstacleIndex {
     }
 }
 
-/// Tunable algorithm knobs. The defaults follow the paper exactly; the
-/// alternatives exist for the ablation benchmarks (DESIGN.md §6).
+/// Tunable algorithm knobs. The defaults follow the paper; each
+/// alternative is the paper's own §4/§5 design choice switched off, for
+/// the `ablations` bench that shows it pays.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineOptions {
     /// Visibility-edge builder (paper: rotational plane sweep \[SS84\]).
@@ -412,16 +413,6 @@ pub struct EngineOptions {
     /// ODJ: pick the seed side as the dataset with fewer distinct
     /// candidates (paper: on). Off always seeds from `S`.
     pub seed_side_heuristic: bool,
-    /// Obstructed-distance computation: search obstacles inside the
-    /// ellipse with foci `p`, `q` instead of the paper's disk around `q`
-    /// (paper: off). Strictly fewer obstacles qualify; results are
-    /// identical (extension, see DESIGN.md §6).
-    pub ellipse_pruning: bool,
-    /// OR/ODJ: prune non-tangent edges from the local visibility graph
-    /// before the Dijkstra expansion (the tangent visibility graph
-    /// \[PV95\] noted in §2.3; paper: off). Results are identical —
-    /// shortest waypoint-to-waypoint paths only turn at tangent vertices.
-    pub tangent_filter: bool,
 }
 
 impl Default for EngineOptions {
@@ -432,8 +423,6 @@ impl Default for EngineOptions {
             reuse_graph: true,
             hilbert_seed_order: true,
             seed_side_heuristic: true,
-            ellipse_pruning: false,
-            tangent_filter: false,
         }
     }
 }

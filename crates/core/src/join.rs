@@ -30,11 +30,6 @@ use std::collections::HashMap;
 /// 4. per seed, false hits are eliminated exactly like an obstacle range
 ///    query (one bounded lazy Dijkstra expansion at radius `e` via
 ///    [`compute_obstructed_range`], sweeping only nodes it settles).
-///
-/// The `tangent_filter` ablation is a no-op here (as for OR): the lazy
-/// engine never materializes the non-tangent edges the filter would
-/// remove, and results are identical either way per that option's
-/// contract.
 pub fn distance_join(
     s: &EntityIndex,
     t: &EntityIndex,

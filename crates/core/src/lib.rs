@@ -81,8 +81,7 @@ pub use batch::{
 pub use brute::BruteForce;
 pub use closest_pair::{closest_pairs, incremental_closest_pairs, IncrementalClosestPairs};
 pub use distance::{
-    compute_obstructed_distance, compute_obstructed_distance_pruned, compute_obstructed_path,
-    compute_obstructed_path_pruned, compute_obstructed_range, LocalGraph,
+    compute_obstructed_distance, compute_obstructed_path, compute_obstructed_range, LocalGraph,
 };
 pub use engine::{EngineOptions, EntityIndex, ObstacleIndex, QueryEngine};
 pub use join::distance_join;

@@ -1,7 +1,7 @@
 //! Obstacle nearest-neighbour query (ONN — §4, Fig. 9) and its
 //! incremental variant (iONN, per the §6 remark).
 
-use crate::distance::{compute_obstructed_distance_pruned, LocalGraph};
+use crate::distance::{compute_obstructed_distance, LocalGraph};
 use crate::engine::QueryEngine;
 use crate::stats::{NearestResult, QueryStats};
 use crate::QUERY_TAG;
@@ -82,13 +82,7 @@ impl<'a> QueryEngine<'a> {
                 let p_pos = item.mbr.min;
                 let d_o = if self.options.reuse_graph {
                     let p_node = graph.add_waypoint(p_pos, item.id);
-                    let d = compute_obstructed_distance_pruned(
-                        graph,
-                        p_node,
-                        q_node,
-                        self.obstacles,
-                        self.options.ellipse_pruning,
-                    );
+                    let d = compute_obstructed_distance(graph, p_node, q_node, self.obstacles);
                     graph.remove_waypoint(p_node);
                     peak_graph_nodes = peak_graph_nodes.max(graph.scene.node_count());
                     d
@@ -96,13 +90,7 @@ impl<'a> QueryEngine<'a> {
                     let mut fresh = LocalGraph::new(self.options.builder);
                     let qn = fresh.add_waypoint(q, QUERY_TAG);
                     let pn = fresh.add_waypoint(p_pos, item.id);
-                    let d = compute_obstructed_distance_pruned(
-                        &mut fresh,
-                        pn,
-                        qn,
-                        self.obstacles,
-                        self.options.ellipse_pruning,
-                    );
+                    let d = compute_obstructed_distance(&mut fresh, pn, qn, self.obstacles);
                     peak_graph_nodes = peak_graph_nodes.max(fresh.scene.node_count());
                     d
                 };
@@ -192,12 +180,11 @@ impl Iterator for IncrementalNearest<'_> {
                 Some((item, d_e)) => {
                     self.last_euclid = d_e;
                     let p_node = self.graph.add_waypoint(item.mbr.min, item.id);
-                    let d_o = compute_obstructed_distance_pruned(
+                    let d_o = compute_obstructed_distance(
                         &mut self.graph,
                         p_node,
                         self.q_node,
                         self.engine.obstacles,
-                        self.engine.options.ellipse_pruning,
                     );
                     self.graph.remove_waypoint(p_node);
                     if let Some(d_o) = d_o {

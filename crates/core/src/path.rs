@@ -29,8 +29,8 @@ pub fn close_rel(a: f64, b: f64) -> bool {
 /// unreachable (a point strictly inside an obstacle).
 ///
 /// The lazy scene is grown until the distance fixpoint of Fig. 8
-/// certifies optimality (using the tighter ellipse region); the polyline
-/// comes straight out of the final A\* search.
+/// certifies optimality; the polyline comes straight out of the final
+/// A\* search.
 pub fn shortest_obstructed_path(
     a: Point,
     b: Point,

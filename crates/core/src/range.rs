@@ -26,10 +26,6 @@ impl QueryEngine<'_> {
     ///    visibility only at the nodes it actually pops
     ///    ([`compute_obstructed_range`]); settled entities are reported,
     ///    the rest of `P'` are false hits.
-    ///
-    /// The `tangent_filter` ablation is a no-op here: the lazy engine
-    /// never materializes the non-tangent edges the filter would remove
-    /// (results are identical either way, per the option's contract).
     pub fn range(&self, q: Point, e: f64) -> RangeResult {
         let mut graph = LocalGraph::new(self.options.builder);
         self.range_in(&mut graph, q, e)

@@ -1,19 +1,15 @@
-//! Batch determinism and I/O-accounting exactness with the PR 4
-//! concurrency machinery fully enabled: lock-striped buffer pools on both
-//! R-trees and per-worker cross-query scene caches in `engine.batch(..)`.
+//! Batch determinism and I/O-accounting exactness under concurrency:
+//! workers of `engine.batch(..)` share both R-trees' buffer pools and keep
+//! per-worker cross-query scene caches.
 
 use obstacle_core::{Answer, EntityIndex, ObstacleIndex, Query, QueryEngine};
 use obstacle_datagen::{query_workload, sample_entities, City, CityConfig};
 use obstacle_rtree::{RTreeConfig, TreeBackend};
 
-fn striped_world(shards: usize) -> (EntityIndex, ObstacleIndex, City) {
+fn world() -> (EntityIndex, ObstacleIndex, City) {
     let city = City::generate(CityConfig::new(160, 0x5744));
-    let entities = EntityIndex::build(
-        RTreeConfig::tiny(8).striped(shards),
-        sample_entities(&city, 96, 0x5745),
-    );
-    let obstacles =
-        ObstacleIndex::build(RTreeConfig::tiny(8).striped(shards), city.obstacles.clone());
+    let entities = EntityIndex::build(RTreeConfig::tiny(8), sample_entities(&city, 96, 0x5745));
+    let obstacles = ObstacleIndex::build(RTreeConfig::tiny(8), city.obstacles.clone());
     (entities, obstacles, city)
 }
 
@@ -38,30 +34,14 @@ fn point_queries(city: &City) -> Vec<Query> {
 }
 
 #[test]
-fn striped_buffers_and_scene_reuse_are_result_identical_at_every_thread_count() {
-    let (entities, obstacles, city) = striped_world(8);
+fn shared_buffers_and_scene_reuse_are_result_identical_at_every_thread_count() {
+    let (entities, obstacles, city) = world();
     let engine = QueryEngine::new(&entities, &obstacles);
     let queries = point_queries(&city);
 
-    // Reference: plain sequential execution, fresh scene per query, on
-    // the same striped trees (the buffer is pure accounting) …
+    // Reference: plain sequential execution, fresh scene per query.
     let sequential: Vec<Answer> = queries.iter().map(|q| engine.execute(q)).collect();
     assert!(sequential.iter().any(|a| a.result_count() > 0));
-
-    // … and on single-shard trees (the pre-PR 4 configuration).
-    let (e1, o1, _) = striped_world(1);
-    let single = QueryEngine::new(&e1, &o1);
-    for (i, (a, b)) in queries
-        .iter()
-        .map(|q| single.execute(q))
-        .zip(sequential.iter())
-        .enumerate()
-    {
-        assert!(
-            a.same_results(b),
-            "query {i}: single-shard vs striped diverged"
-        );
-    }
 
     for threads in [1usize, 2, 4, 8] {
         let (parallel, _) = engine.batch(&queries).threads(threads).collect();
@@ -79,9 +59,9 @@ fn per_query_io_windows_cover_the_global_aggregate_exactly() {
     // Every page access of a stats-bearing query happens inside its
     // thread-local attribution window, so summing the per-answer windows
     // must reproduce the tree-global deltas exactly — lost updates in
-    // either the shard counters or the recorder windows would break the
+    // either the store counters or the recorder windows would break the
     // equality. (Path queries carry no stats and are excluded.)
-    let (entities, obstacles, city) = striped_world(4);
+    let (entities, obstacles, city) = world();
     let engine = QueryEngine::new(&entities, &obstacles);
     let queries: Vec<Query> = point_queries(&city)
         .into_iter()

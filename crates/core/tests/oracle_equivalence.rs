@@ -290,21 +290,11 @@ fn every_ablation_produces_identical_results() {
             ..Default::default()
         },
         EngineOptions {
-            ellipse_pruning: true,
-            ..Default::default()
-        },
-        EngineOptions {
-            tangent_filter: true,
-            ..Default::default()
-        },
-        EngineOptions {
             builder: EdgeBuilder::Naive,
             shrink_threshold: false,
             reuse_graph: false,
             hilbert_seed_order: false,
             seed_side_heuristic: false,
-            ellipse_pruning: true,
-            tangent_filter: true,
         },
     ];
     for opts in all_options {

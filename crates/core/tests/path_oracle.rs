@@ -1,14 +1,13 @@
 //! Oracle equivalence for the lazy A* path engine.
 //!
 //! On seeded random city scenes, every distance and polyline produced by
-//! the lazy engine (`compute_obstructed_path_pruned`, both search-region
-//! shapes, both edge builders) must match a brute-force Dijkstra over the
-//! **full** visibility graph of the complete obstacle set — including
+//! the lazy engine (`compute_obstructed_path`, both edge builders) must
+//! match a brute-force Dijkstra over the **full** visibility graph of the complete obstacle set — including
 //! unreachable endpoints (strictly inside an obstacle) and endpoints on
 //! obstacle boundaries.
 
 use obstacle_core::{
-    close_rel, compute_obstructed_path_pruned, shortest_obstructed_path, LocalGraph, ObstacleIndex,
+    close_rel, compute_obstructed_path, shortest_obstructed_path, LocalGraph, ObstacleIndex,
 };
 use obstacle_datagen::{City, CityConfig, ObstacleShape};
 use obstacle_geom::rng::{Rng, SeedableRng, SmallRng};
@@ -100,37 +99,35 @@ fn check_scene(shape: ObstacleShape, scene_seed: u64, obstacles: usize, queries:
         );
 
         for builder in [EdgeBuilder::RotationalSweep, EdgeBuilder::Naive] {
-            for ellipse in [true, false] {
-                let mut g = LocalGraph::new(builder);
-                let pa = g.add_waypoint(a, 0);
-                let pb = g.add_waypoint(b, QUERY_TAG);
-                let lazy = compute_obstructed_path_pruned(&mut g, pa, pb, &index, ellipse);
-                match (&oracle, &lazy) {
-                    (None, None) => {}
-                    (Some(o), Some(l)) => {
-                        assert!(
-                            close_rel(o.distance, l.distance),
-                            "distance mismatch on query {qi} ({builder:?}, ellipse={ellipse}): \
-                             oracle {} vs lazy {}",
-                            o.distance,
-                            l.distance
-                        );
-                        let poly_len: f64 = l.points.windows(2).map(|w| w[0].dist(w[1])).sum();
-                        assert!(
-                            close_rel(poly_len, l.distance),
-                            "polyline length {poly_len} vs distance {} on query {qi}",
-                            l.distance
-                        );
-                        assert_eq!(l.points.first(), Some(&a), "query {qi} start");
-                        assert_eq!(l.points.last(), Some(&b), "query {qi} end");
-                    }
-                    (o, l) => panic!(
-                        "reachability mismatch on query {qi} ({builder:?}, ellipse={ellipse}): \
-                         oracle {:?} vs lazy {:?}",
-                        o.as_ref().map(|p| p.distance),
-                        l.as_ref().map(|p| p.distance)
-                    ),
+            let mut g = LocalGraph::new(builder);
+            let pa = g.add_waypoint(a, 0);
+            let pb = g.add_waypoint(b, QUERY_TAG);
+            let lazy = compute_obstructed_path(&mut g, pa, pb, &index);
+            match (&oracle, &lazy) {
+                (None, None) => {}
+                (Some(o), Some(l)) => {
+                    assert!(
+                        close_rel(o.distance, l.distance),
+                        "distance mismatch on query {qi} ({builder:?}): \
+                         oracle {} vs lazy {}",
+                        o.distance,
+                        l.distance
+                    );
+                    let poly_len: f64 = l.points.windows(2).map(|w| w[0].dist(w[1])).sum();
+                    assert!(
+                        close_rel(poly_len, l.distance),
+                        "polyline length {poly_len} vs distance {} on query {qi}",
+                        l.distance
+                    );
+                    assert_eq!(l.points.first(), Some(&a), "query {qi} start");
+                    assert_eq!(l.points.last(), Some(&b), "query {qi} end");
                 }
+                (o, l) => panic!(
+                    "reachability mismatch on query {qi} ({builder:?}): \
+                     oracle {:?} vs lazy {:?}",
+                    o.as_ref().map(|p| p.distance),
+                    l.as_ref().map(|p| p.distance)
+                ),
             }
         }
         full.remove_waypoint(na);
@@ -184,7 +181,7 @@ fn engine_reuse_across_queries_stays_exact() {
     for _ in 0..16 {
         let p = Point::new(rng.gen::<f64>(), rng.gen::<f64>());
         let np = g.add_waypoint(p, 1);
-        let lazy = compute_obstructed_path_pruned(&mut g, np, nq, &index, true);
+        let lazy = compute_obstructed_path(&mut g, np, nq, &index);
         g.remove_waypoint(np);
 
         let fa = full.add_waypoint(p, 0);

@@ -1,21 +1,13 @@
-//! Dynamic dataset updates and the ellipse-pruning extension.
+//! Dynamic dataset updates.
 
-use obstacle_core::{
-    compute_obstructed_distance_pruned, BruteForce, EngineOptions, EntityIndex, LocalGraph,
-    ObstacleIndex, QueryEngine,
-};
+use obstacle_core::{BruteForce, EntityIndex, ObstacleIndex, QueryEngine};
 use obstacle_datagen::{sample_entities, City, CityConfig};
 use obstacle_geom::{Point, Polygon, Rect};
 use obstacle_rtree::{RTreeConfig, TreeBackend};
-use obstacle_visibility::EdgeBuilder;
 
 fn square(x0: f64, y0: f64, x1: f64, y1: f64) -> Polygon {
     Polygon::from_rect(Rect::from_coords(x0, y0, x1, y1))
 }
-
-// ---------------------------------------------------------------------
-// Updates
-// ---------------------------------------------------------------------
 
 #[test]
 fn inserting_an_obstacle_changes_subsequent_queries() {
@@ -101,117 +93,4 @@ fn updates_match_rebuilt_indexes_on_random_city() {
     for (g, x) in got.neighbors.iter().zip(expect.iter()) {
         assert!((g.1 - x.1).abs() < 1e-9);
     }
-}
-
-// ---------------------------------------------------------------------
-// Ellipse pruning
-// ---------------------------------------------------------------------
-
-fn distance_with(
-    ellipse: bool,
-    obstacles: &ObstacleIndex,
-    a: Point,
-    b: Point,
-) -> (Option<f64>, usize) {
-    let mut g = LocalGraph::new(EdgeBuilder::RotationalSweep);
-    let na = g.add_waypoint(a, 0);
-    let nb = g.add_waypoint(b, u64::MAX);
-    let d = compute_obstructed_distance_pruned(&mut g, na, nb, obstacles, ellipse);
-    (d, g.obstacle_count())
-}
-
-#[test]
-fn ellipse_pruning_preserves_distances_and_shrinks_graphs() {
-    let city = City::generate(CityConfig::new(120, 13));
-    let obstacles = ObstacleIndex::build(RTreeConfig::tiny(8), city.obstacles.clone());
-    let pts = sample_entities(&city, 14, 2);
-    let mut ellipse_never_bigger = true;
-    let mut strictly_smaller_at_least_once = false;
-    for i in 0..pts.len() {
-        for j in (i + 1)..pts.len() {
-            let (d_circle, n_circle) = distance_with(false, &obstacles, pts[i], pts[j]);
-            let (d_ellipse, n_ellipse) = distance_with(true, &obstacles, pts[i], pts[j]);
-            match (d_circle, d_ellipse) {
-                (Some(a), Some(b)) => assert!((a - b).abs() < 1e-9, "{i},{j}: {a} vs {b}"),
-                (x, y) => assert_eq!(x.is_some(), y.is_some()),
-            }
-            ellipse_never_bigger &= n_ellipse <= n_circle;
-            strictly_smaller_at_least_once |= n_ellipse < n_circle;
-        }
-    }
-    assert!(ellipse_never_bigger, "the ellipse is a subset of the disk");
-    assert!(
-        strictly_smaller_at_least_once,
-        "pruning should pay off somewhere on a 120-obstacle city"
-    );
-}
-
-#[test]
-fn engine_results_identical_under_ellipse_pruning() {
-    let city = City::generate(CityConfig::new(50, 17));
-    let pts = sample_entities(&city, 60, 3);
-    let entities = EntityIndex::build(RTreeConfig::tiny(8), pts);
-    let obstacles = ObstacleIndex::build(RTreeConfig::tiny(8), city.obstacles.clone());
-    let plain = QueryEngine::new(&entities, &obstacles);
-    let pruned = QueryEngine::with_options(
-        &entities,
-        &obstacles,
-        EngineOptions {
-            ellipse_pruning: true,
-            ..Default::default()
-        },
-    );
-    for q in sample_entities(&city, 4, 4) {
-        let a = plain.nearest(q, 8).neighbors;
-        let b = pruned.nearest(q, 8).neighbors;
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert!((x.1 - y.1).abs() < 1e-9);
-        }
-    }
-}
-
-#[test]
-fn tangent_filter_preserves_range_and_join_results() {
-    use obstacle_core::distance_join;
-    let city = City::generate(CityConfig::new(60, 23));
-    let pts = sample_entities(&city, 80, 5);
-    let entities = EntityIndex::build(RTreeConfig::tiny(8), pts);
-    let obstacles = ObstacleIndex::build(RTreeConfig::tiny(8), city.obstacles.clone());
-    let tangent = EngineOptions {
-        tangent_filter: true,
-        ..Default::default()
-    };
-    let plain_engine = QueryEngine::new(&entities, &obstacles);
-    let tangent_engine = QueryEngine::with_options(&entities, &obstacles, tangent);
-    for q in sample_entities(&city, 5, 6) {
-        for e in [0.08, 0.2] {
-            let a = plain_engine.range(q, e).hits;
-            let b = tangent_engine.range(q, e).hits;
-            assert_eq!(a.len(), b.len(), "q {q} e {e}");
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert_eq!(x.0, y.0);
-                assert!((x.1 - y.1).abs() < 1e-9);
-            }
-        }
-    }
-    // Join with and without the filter.
-    let t_pts = sample_entities(&city, 30, 7);
-    let t = EntityIndex::build(RTreeConfig::tiny(8), t_pts);
-    let a = distance_join(&entities, &t, &obstacles, 0.1, EngineOptions::default());
-    let b = distance_join(&entities, &t, &obstacles, 0.1, tangent);
-    let mut x: Vec<(u64, u64)> = a.pairs.iter().map(|(s, t, _)| (*s, *t)).collect();
-    let mut y: Vec<(u64, u64)> = b.pairs.iter().map(|(s, t, _)| (*s, *t)).collect();
-    x.sort_unstable();
-    y.sort_unstable();
-    assert_eq!(x, y);
-}
-
-#[test]
-fn unreachable_handled_identically_with_ellipse() {
-    let obstacles = ObstacleIndex::build(RTreeConfig::tiny(4), vec![square(0.0, 0.0, 1.0, 1.0)]);
-    let inside = Point::new(0.5, 0.5);
-    let outside = Point::new(2.0, 2.0);
-    assert_eq!(distance_with(false, &obstacles, inside, outside).0, None);
-    assert_eq!(distance_with(true, &obstacles, inside, outside).0, None);
 }

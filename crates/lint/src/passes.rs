@@ -64,7 +64,8 @@ const NAN_ALLOW: &[&str] = &["crates/geom/src/order.rs"];
 
 /// Hot-path modules where `unwrap()`/`expect()` is forbidden outside
 /// tests: the six paper operators, the distance/path engines, the brute
-/// oracle, and the lazy A\* scene.
+/// oracle, the lazy A\* scene, and the two tree-image byte decoders (with
+/// the packed read path that trusts what they accepted).
 const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/brute.rs",
     "crates/core/src/closest_pair.rs",
@@ -74,6 +75,8 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/path.rs",
     "crates/core/src/range.rs",
     "crates/core/src/semi_join.rs",
+    "crates/rtree/src/packed.rs",
+    "crates/rtree/src/persist.rs",
     "crates/visibility/src/astar.rs",
 ];
 

@@ -266,14 +266,6 @@ impl AnyTree {
         }
     }
 
-    /// Number of buffer lock stripes (packed: 0).
-    pub fn buffer_shards(&self) -> usize {
-        match self {
-            AnyTree::Paged(t) => t.buffer_shards(),
-            AnyTree::Packed(_) => 0,
-        }
-    }
-
     /// Per-level structure statistics.
     pub fn stats(&self) -> TreeStats {
         match self {

@@ -63,17 +63,6 @@ pub struct RTreeConfig {
     pub buffer_ratio: f64,
     /// Lower bound on the buffer size in pages.
     pub min_buffer_pages: usize,
-    /// Number of lock stripes (shards) the LRU buffer is split into.
-    ///
-    /// `1` (the default, and the paper's model) is a single LRU over the
-    /// whole buffer behind one lock. Higher counts hash pages across
-    /// independently locked shards, each holding its share of the same
-    /// **total** capacity (`buffer_pages`, the 10 % rule, is unchanged) —
-    /// concurrent batch workers then rarely contend on one mutex. Query
-    /// *results* never depend on this knob (the buffer only does
-    /// accounting); the hit/miss split can differ from the single-LRU
-    /// split because each shard evicts within its own page subset.
-    pub buffer_shards: usize,
     /// Storage backend trees built from this config use. The paged
     /// fields above (page/buffer geometry, R* parameters) only apply to
     /// [`Backend::Paged`]; [`Backend::Packed`] uses
@@ -97,7 +86,6 @@ impl Default for RTreeConfig {
             reinsert_ratio: 0.3,
             buffer_ratio: 0.1,
             min_buffer_pages: 1,
-            buffer_shards: 1,
             backend: Backend::Paged,
             packed_node_size: 16,
         }
@@ -143,22 +131,6 @@ impl RTreeConfig {
         (((pages as f64) * self.buffer_ratio).ceil() as usize).max(self.min_buffer_pages)
     }
 
-    /// Lock-stripe count, clamped to at least one shard.
-    pub fn shards(&self) -> usize {
-        self.buffer_shards.max(1)
-    }
-
-    /// This configuration with the buffer split across `shards` lock
-    /// stripes (total capacity unchanged — see
-    /// [`RTreeConfig::buffer_shards`]). The natural choice for concurrent
-    /// batch workloads is the worker-thread count.
-    pub fn striped(self, shards: usize) -> Self {
-        RTreeConfig {
-            buffer_shards: shards,
-            ..self
-        }
-    }
-
     /// This configuration targeting `backend`.
     pub fn with_backend(self, backend: Backend) -> Self {
         RTreeConfig { backend, ..self }
@@ -198,15 +170,5 @@ mod tests {
     fn capacity_is_at_least_two() {
         let c = RTreeConfig::tiny(1);
         assert_eq!(c.capacity(), 2);
-    }
-
-    #[test]
-    fn striping_defaults_to_single_shard_and_clamps() {
-        let c = RTreeConfig::default();
-        assert_eq!(c.shards(), 1, "paper model: one LRU behind one lock");
-        assert_eq!(c.striped(8).shards(), 8);
-        assert_eq!(c.striped(0).shards(), 1);
-        // Striping never changes the total-capacity rule.
-        assert_eq!(c.striped(8).buffer_pages(100), c.buffer_pages(100));
     }
 }

@@ -7,12 +7,13 @@
 //! tree level packed bottom-up, root last. Because the whole tree is a
 //! single word buffer:
 //!
-//! * queries are plain slice reads — no page buffer, no `Mutex`, no shard
-//!   to acquire, so concurrent batch workers share nothing but immutable
+//! * queries are plain slice reads — no page buffer and no `Mutex` to
+//!   acquire, so concurrent batch workers share nothing but immutable
 //!   memory and a relaxed visit counter;
 //! * [`PackedRTree::to_bytes`] is a header plus the raw words, and
-//!   [`PackedRTree::from_bytes`] rebuilds without any per-node decode —
-//!   a scene can be persisted or shipped and queried as-is.
+//!   [`PackedRTree::from_bytes`] is a header check, one word copy and
+//!   [`PackedRTree::validate`] — no per-node decode, and no image that
+//!   could index out of bounds at query time is ever handed out.
 //!
 //! The trade: the structure is static. There is no insert/delete here;
 //! [`AnyTree`](crate::AnyTree) rebuilds the pack on update, which is the
@@ -77,23 +78,32 @@ pub struct PackedRTree {
     pub(crate) generation: u64,
 }
 
-/// Slot counts per level for `n` items at fan-out `node_size`: items
-/// first, then each node level up to a single root. `n = 0` has no slots
-/// at all; `n ≥ 1` always gets at least one node level, so the root is a
-/// real node even over a single item.
-fn level_counts(n: usize, node_size: usize) -> Vec<usize> {
-    if n == 0 {
-        return vec![0];
+/// The level layout of a pack of `num_items` items at fan-out
+/// `node_size` — the exclusive end slot of each level: items first, then
+/// each node level (`ceil(below / node_size)` wide) up to a single root.
+/// `num_items = 0` has no node level at all; `num_items ≥ 1` always gets
+/// at least one, so the root is a real node even over a single item.
+///
+/// This is the one place the layout is computed — `build`, `validate` and
+/// `from_bytes` all derive it from the two header values — and it is
+/// checked: `None` for a fan-out below 2 or a slot total whose word
+/// buffer would not fit `usize` (both reachable from image bytes).
+fn level_layout(num_items: usize, node_size: usize) -> Option<Box<[usize]>> {
+    if node_size < 2 {
+        return None;
     }
-    let mut counts = vec![n];
-    loop {
-        let next = counts.last().unwrap().div_ceil(node_size);
-        counts.push(next);
-        if next <= 1 {
+    let mut ends = vec![num_items];
+    let (mut width, mut total) = (num_items, num_items);
+    while width > 0 {
+        width = width.div_ceil(node_size);
+        total = total.checked_add(width)?;
+        ends.push(total);
+        if width == 1 {
             break;
         }
     }
-    counts
+    total.checked_mul(BOX_WORDS + 1)?;
+    Some(ends.into_boxed_slice())
 }
 
 impl PackedRTree {
@@ -109,13 +119,11 @@ impl PackedRTree {
         let universe = items.iter().fold(Rect::empty(), |u, i| u.union(&i.mbr));
         items.sort_by_key(|i| hilbert_index_unit(i.center(), &universe));
 
-        let counts = level_counts(n, node_size);
-        let mut level_ends = Vec::with_capacity(counts.len());
-        let mut total = 0usize;
-        for c in &counts {
-            total += c;
-            level_ends.push(total);
-        }
+        // Build time, not a read path: the fan-out is clamped above and the
+        // `n` items are in memory, so their slot count cannot overflow.
+        // lint:allow(no-unwrap-hot-path): see above
+        let level_ends = level_layout(n, node_size).expect("pack layout overflows usize");
+        let total = level_ends[level_ends.len() - 1];
 
         let mut words = vec![0u64; total * (BOX_WORDS + 1)].into_boxed_slice();
         let index_base = total * BOX_WORDS;
@@ -135,7 +143,7 @@ impl PackedRTree {
 
         // Pack each node level over the one below it.
         let mut child_start = 0usize;
-        for level in 1..counts.len() {
+        for level in 1..level_ends.len() {
             let child_end = level_ends[level - 1];
             let mut slot = child_end;
             let mut child = child_start;
@@ -166,7 +174,7 @@ impl PackedRTree {
             words,
             num_items: n,
             node_size,
-            level_ends: level_ends.into_boxed_slice(),
+            level_ends,
             visits: AtomicU64::new(0),
             generation: 0,
         };
@@ -220,7 +228,7 @@ impl PackedRTree {
     }
 
     fn total_slots(&self) -> usize {
-        *self.level_ends.last().unwrap()
+        self.words.len() / (BOX_WORDS + 1)
     }
 
     fn root_slot(&self) -> Option<usize> {
@@ -245,7 +253,7 @@ impl PackedRTree {
     /// *trait* level of a node slot is `slot_level - 1` (a node whose
     /// children are items is a leaf, level 0), matching the paged tree.
     fn slot_level(&self, slot: usize) -> usize {
-        self.level_ends.iter().position(|&end| slot < end).unwrap()
+        self.level_ends.partition_point(|&end| end <= slot)
     }
 
     /// Child slot range of the node at `slot`.
@@ -448,11 +456,9 @@ impl PackedRTree {
     /// Deep structural check of the packed image. Verifies, in order:
     ///
     /// * **header sanity** — fan-out ≥ 2, the level layout matches a
-    ///   recomputation from `(num_items, node_size)`, and the word buffer
-    ///   has exactly `slots × (BOX_WORDS + 1)` words;
-    /// * **level monotonicity** — each node level is `ceil(below /
-    ///   node_size)` wide, shrinking to a single root (implied by the
-    ///   layout recomputation, asserted explicitly for the root);
+    ///   recomputation from `(num_items, node_size)` (so each node level
+    ///   is `ceil(below / node_size)` wide, shrinking to a single root),
+    ///   and the word buffer has exactly `slots × (BOX_WORDS + 1)` words;
     /// * **item boxes** — every item MBR is finite and non-inverted;
     /// * **child coverage and index bounds** — each node's child pointer
     ///   lands exactly where the left-to-right pack put it, ranges tile
@@ -461,38 +467,25 @@ impl PackedRTree {
     ///   union of its children's boxes (the build computes it that way,
     ///   so any drift is corruption, not rounding).
     ///
-    /// Runs in `O(slots)` and is called via `debug_assert!` after every
-    /// build and every `AnyTree::apply_edits` re-pack; a corrupted image
-    /// yields a description of the first violation.
+    /// Runs in `O(slots)`; called on every decoded image before
+    /// [`PackedRTree::from_bytes`] returns it, and via `debug_assert!`
+    /// after every build and every `AnyTree::apply_edits` re-pack. A
+    /// corrupted image yields a description of the first violation.
     pub fn validate(&self) -> Result<(), String> {
-        if self.node_size < 2 {
-            return Err(format!("fan-out {} < 2", self.node_size));
-        }
-        let counts = level_counts(self.num_items, self.node_size);
-        let mut expect_ends = Vec::with_capacity(counts.len());
-        let mut total = 0usize;
-        for c in &counts {
-            total += c;
-            expect_ends.push(total);
-        }
-        if *self.level_ends != *expect_ends.as_slice() {
+        let expect_ends = level_layout(self.num_items, self.node_size);
+        if expect_ends.as_ref() != Some(&self.level_ends) {
             return Err(format!(
                 "level layout {:?} does not match recomputation {:?} for {} items at fan-out {}",
                 self.level_ends, expect_ends, self.num_items, self.node_size
             ));
         }
-        if self.words.len() != total * (BOX_WORDS + 1) {
+        let slots = self.level_ends[self.level_ends.len() - 1];
+        if self.words.len() != slots * (BOX_WORDS + 1) {
             return Err(format!(
                 "word buffer holds {} words, layout needs {}",
                 self.words.len(),
-                total * (BOX_WORDS + 1)
+                slots * (BOX_WORDS + 1)
             ));
-        }
-        if self.num_items == 0 {
-            return Ok(());
-        }
-        if counts.last() != Some(&1) {
-            return Err(format!("top level has {:?} slots, want 1", counts.last()));
         }
         for slot in 0..self.num_items {
             // Read the raw words: `slot_box` round-trips through
@@ -591,11 +584,14 @@ impl PackedRTree {
         buf.freeze()
     }
 
-    /// Decodes an image produced by [`PackedRTree::to_bytes`]. The level
-    /// layout is recomputed from `(num_items, node_size)`; the word
-    /// buffer is taken as-is, so the round trip is bit-exact and costs no
-    /// per-node rebuild. The decoded tree carries a default config tagged
-    /// with the packed backend and the stored fan-out.
+    /// Decodes an image produced by [`PackedRTree::to_bytes`]: header
+    /// check, length check, one bulk copy of the word buffer (taken
+    /// as-is, so the round trip is bit-exact and costs no per-node
+    /// rebuild), then [`PackedRTree::validate`] — the bytes come from
+    /// outside, and every query indexes the buffer by what they say. The
+    /// level layout is recomputed from `(num_items, node_size)`; the
+    /// decoded tree carries a default config tagged with the packed
+    /// backend and the stored fan-out.
     pub fn from_bytes(mut data: &[u8]) -> Result<PackedRTree, PersistError> {
         if data.remaining() < 4 {
             return Err(PersistError::Truncated);
@@ -613,36 +609,37 @@ impl PackedRTree {
             return Err(PersistError::BadVersion(version));
         }
         let node_size = data.get_u16_le() as usize;
-        let num_items = data.get_u64_le() as usize;
-        let word_count = data.get_u64_le() as usize;
-        if node_size < 2 || data.remaining() < word_count * 8 {
+        let header_len = |v: u64| usize::try_from(v).map_err(|_| PersistError::Truncated);
+        let num_items = header_len(data.get_u64_le())?;
+        let word_count = header_len(data.get_u64_le())?;
+        let byte_len = word_count.checked_mul(8).ok_or(PersistError::Truncated)?;
+        if data.remaining() < byte_len {
             return Err(PersistError::Truncated);
         }
-        let counts = level_counts(num_items, node_size);
-        let mut level_ends = Vec::with_capacity(counts.len());
-        let mut total = 0usize;
-        for c in &counts {
-            total += c;
-            level_ends.push(total);
-        }
-        if word_count != total * (BOX_WORDS + 1) {
-            return Err(PersistError::Truncated);
-        }
-        let words: Box<[u64]> = (0..word_count).map(|_| data.get_u64_le()).collect();
-        let config = RTreeConfig {
-            backend: Backend::Packed,
-            packed_node_size: node_size,
-            ..RTreeConfig::paper()
-        };
-        Ok(PackedRTree {
-            config,
+        let level_ends = level_layout(num_items, node_size).ok_or_else(|| {
+            PersistError::Corrupt(format!(
+                "no level layout for {num_items} items at fan-out {node_size}"
+            ))
+        })?;
+        let words: Box<[u64]> = data[..byte_len]
+            .chunks_exact(8)
+            .map(|mut w| w.get_u64_le())
+            .collect();
+        let tree = PackedRTree {
+            config: RTreeConfig {
+                backend: Backend::Packed,
+                packed_node_size: node_size,
+                ..RTreeConfig::paper()
+            },
             words,
             num_items,
             node_size,
-            level_ends: level_ends.into_boxed_slice(),
+            level_ends,
             visits: AtomicU64::new(0),
             generation: 0,
-        })
+        };
+        tree.validate().map_err(PersistError::Corrupt)?;
+        Ok(tree)
     }
 
     /// Writes the byte image to a file.

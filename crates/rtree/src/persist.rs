@@ -28,6 +28,9 @@ pub enum PersistError {
     BadVersion(u16),
     /// The image ended prematurely or contains inconsistent counts.
     Truncated,
+    /// The image is complete but does not describe a valid tree (failed
+    /// the structural check; the message names the first violation).
+    Corrupt(String),
     /// Reading or writing the backing file failed.
     Io(std::io::Error),
 }
@@ -38,6 +41,7 @@ impl std::fmt::Display for PersistError {
             PersistError::BadMagic => write!(f, "not an R-tree image (bad magic)"),
             PersistError::BadVersion(v) => write!(f, "unsupported image version {v}"),
             PersistError::Truncated => write!(f, "truncated or inconsistent image"),
+            PersistError::Corrupt(why) => write!(f, "corrupt image: {why}"),
             PersistError::Io(e) => write!(f, "I/O error: {e}"),
         }
     }
@@ -67,7 +71,9 @@ impl RTree {
         buf.put_f64_le(c.reinsert_ratio);
         buf.put_f64_le(c.buffer_ratio);
         buf.put_u32_le(c.min_buffer_pages as u32);
-        buf.put_u32_le(c.buffer_shards as u32);
+        // Reserved (v2 stored a buffer lock count here): written 1,
+        // ignored on read, so older images load and the layout is stable.
+        buf.put_u32_le(1);
         // Tree header.
         buf.put_u32_le(self.root);
         buf.put_u32_le(self.height);
@@ -129,18 +135,37 @@ impl RTree {
             reinsert_ratio: data.get_f64_le(),
             buffer_ratio: data.get_f64_le(),
             min_buffer_pages: data.get_u32_le() as usize,
-            buffer_shards: data.get_u32_le() as usize,
             // An ORTR image is by definition a paged tree; the packed
             // backend has its own format (see `crate::packed`). The
             // backend knobs are not part of the page-image layout.
             backend: crate::config::Backend::Paged,
             packed_node_size: RTreeConfig::default().packed_node_size,
         };
+        let _reserved = data.get_u32_le();
+        // `capacity()` divides by `entry_bytes`; the ratios size node
+        // fills and the buffer through float→usize casts.
+        let ratios = [
+            config.min_fill_ratio,
+            config.reinsert_ratio,
+            config.buffer_ratio,
+        ];
+        if config.entry_bytes == 0
+            || ratios.iter().any(|r| !r.is_finite() || *r < 0.0)
+            || config.min_fill_ratio > 1.0
+            || config.reinsert_ratio > 1.0
+        {
+            return Err(PersistError::Corrupt(format!(
+                "impossible configuration {config:?}"
+            )));
+        }
         need(data, 4 + 4 + 8 + 4)?;
         let root = data.get_u32_le();
         let height = data.get_u32_le();
-        let len = data.get_u64_le() as usize;
+        let len = usize::try_from(data.get_u64_le()).map_err(|_| PersistError::Truncated)?;
         let slot_count = data.get_u32_le() as usize;
+        // Every slot costs at least its one tag byte: bound the count by
+        // the bytes that are left before reserving for it.
+        need(data, slot_count)?;
 
         let mut pages: Vec<Option<Node>> = Vec::with_capacity(slot_count);
         for _ in 0..slot_count {
@@ -152,7 +177,7 @@ impl RTree {
             need(data, 8)?;
             let level = data.get_u32_le();
             let count = data.get_u32_le() as usize;
-            need(data, count * 40)?;
+            need(data, count.checked_mul(40).ok_or(PersistError::Truncated)?)?;
             let mut node = Node::new(level);
             node.entries.reserve_exact(count);
             for _ in 0..count {
@@ -166,22 +191,17 @@ impl RTree {
             }
             pages.push(Some(node));
         }
-        if root as usize >= pages.len() || pages[root as usize].is_none() {
-            return Err(PersistError::Truncated);
-        }
-        let buffer_pages = {
-            let live = pages.iter().filter(|p| p.is_some()).count();
-            config.buffer_pages(live)
-        };
-        let store = PageStore::from_slots(pages, buffer_pages, config.shards());
+        let live = pages.iter().filter(|p| p.is_some()).count();
         let tree = RTree {
             config,
-            store,
+            store: PageStore::from_slots(pages, config.buffer_pages(live)),
             root,
             height,
             len,
         };
-        tree.reset_io_stats();
+        // Bulk-loaded trees may end each level on an underfull node, so
+        // the fill rule is not part of what makes an image loadable.
+        tree.validate(false).map_err(PersistError::Corrupt)?;
         Ok(tree)
     }
 

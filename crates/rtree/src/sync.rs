@@ -4,11 +4,11 @@
 //!
 //! 1. **`parking_lot`-style ergonomics over `std::sync::Mutex`** —
 //!    `lock()` returns the guard directly (no `Result`). Lock poisoning
-//!    is recovered: the protected state (one LRU shard of the
-//!    lock-striped buffer pool — see [`crate::buffer`] and the store's
-//!    `BufferShard`) is a cache whose worst corruption mode is a wrong
-//!    hit/miss count, and a panicking reader thread should not wedge
-//!    every other reader of a shared tree.
+//!    is recovered: the protected state (the LRU buffer pool — see
+//!    [`crate::buffer`] and the store's `buffer` field) is a cache whose
+//!    worst corruption mode is a wrong hit/miss count, and a panicking
+//!    reader thread should not wedge every other reader of a shared
+//!    tree.
 //!
 //! 2. **A debug-gated lock-discipline checker.** Every [`Mutex`] gets a
 //!    unique id; every acquisition (with its [`std::panic::Location`],
@@ -21,8 +21,9 @@
 //!    Re-acquiring a lock the thread already holds (guaranteed
 //!    self-deadlock with a non-reentrant mutex) panics likewise.
 //!    [`assert_unlocked`] additionally asserts a thread holds *no* shim
-//!    lock — the engine calls it before every LazyScene sweep so a shard
-//!    lock can never be held across an unbounded visibility expansion.
+//!    lock — the engine calls it before every LazyScene sweep so the
+//!    buffer lock can never be held across an unbounded visibility
+//!    expansion.
 //!
 //! The shim also wraps the two companion primitives the query service
 //! needs: [`Condvar`] (whose `wait` releases and re-acquires through the
@@ -31,7 +32,7 @@
 //! the order checker: service workers execute whole queries — including
 //! LazyScene sweeps, which call [`assert_unlocked`] on entry — under a
 //! read guard, and read guards do not exclude each other, so holding one
-//! across a sweep cannot wedge other readers the way a shard mutex
+//! across a sweep cannot wedge other readers the way the buffer mutex
 //! could. Writers are rare (edit batches) and take no shim mutex while
 //! holding the write guard.
 //!

@@ -28,7 +28,7 @@ pub struct RTree {
 impl RTree {
     /// Creates an empty tree.
     pub fn new(config: RTreeConfig) -> Self {
-        let mut store = PageStore::new(config.min_buffer_pages, config.shards());
+        let mut store = PageStore::new(config.min_buffer_pages);
         let root = store.allocate(Node::new(0));
         RTree {
             config,
@@ -168,41 +168,22 @@ impl RTree {
 
     /// Clears the buffer (cold start) and resizes it to the configured
     /// fraction of the current tree size. Call after bulk modifications
-    /// and before a measured workload. The stripe count stays as built;
-    /// see [`crate::RTreeConfig::buffer_shards`] and the store's
-    /// `reset_buffer` for the shrink-below-stripe-count caveat.
+    /// and before a measured workload.
     pub fn reset_buffer(&self) {
         self.store
             .reset_buffer(self.config.buffer_pages(self.store.live_pages()));
     }
 
-    /// Total buffer capacity in pages (summed over all shards).
+    /// Buffer capacity in pages.
     pub fn buffer_capacity(&self) -> usize {
         self.store.buffer_capacity()
     }
 
-    /// Number of lock stripes in the buffer pool (see
-    /// [`RTreeConfig::buffer_shards`]).
-    pub fn buffer_shards(&self) -> usize {
-        self.store.shard_count()
-    }
-
-    /// Per-shard `(misses, hits)` counters, in shard order. Sums to the
-    /// aggregate [`RTree::io_stats`] view; exposed for stripe-balance
-    /// diagnostics and the striping test suite.
-    pub fn buffer_shard_stats(&self) -> Vec<(u64, u64)> {
-        self.store.shard_stats()
-    }
-
     fn finish_build(&mut self) {
-        // Re-stripe now that the tree's final size — and therefore its
-        // 10 %-rule buffer capacity — is known: the placeholder pool of
-        // `RTree::new` was sized (and its stripe count clamped) before
-        // any page existed.
-        self.store.rebuild_buffer(
-            self.config.buffer_pages(self.store.live_pages()),
-            self.config.shards(),
-        );
+        // Size the buffer now that the tree's final size — and therefore
+        // its 10 %-rule capacity — is known: the placeholder pool of
+        // `RTree::new` was sized before any page existed.
+        self.reset_buffer();
         self.reset_io_stats();
     }
 
@@ -655,74 +636,95 @@ impl RTree {
     /// Checks the structural invariants of the tree. When `check_fill` is
     /// true, non-root nodes must respect the R* minimum fill (disable for
     /// bulk-loaded trees whose last sibling per level may be underfull).
+    ///
+    /// Never panics, whatever the tree holds: this is also the check a
+    /// decoded byte image must pass before it is handed out, so a
+    /// dangling or shared child page, a level that does not descend, or
+    /// a non-finite box is an `Err`, and the walk is iterative and visits
+    /// each page once.
     pub fn validate(&self, check_fill: bool) -> Result<(), String> {
-        let root = self.store.node(self.root);
-        if root.level != self.height - 1 {
+        let page = |id: PageId| {
+            self.store
+                .get(id)
+                .ok_or_else(|| format!("page {id} is freed or out of range"))
+        };
+        let root = page(self.root)?;
+        if root.level.checked_add(1) != Some(self.height) {
             return Err(format!(
                 "root level {} inconsistent with height {}",
                 root.level, self.height
             ));
         }
+        if !root.is_leaf() && root.len() < 2 {
+            return Err(format!(
+                "internal root {} has fewer than 2 children",
+                self.root
+            ));
+        }
+        let mut seen = vec![false; self.store.slots().len()];
         let mut item_count = 0usize;
-        self.validate_node(self.root, true, check_fill, &mut item_count)?;
+        let mut stack = vec![self.root];
+        while let Some(id) = stack.pop() {
+            let node = page(id)?;
+            if std::mem::replace(&mut seen[id as usize], true) {
+                return Err(format!("page {id} is reachable twice"));
+            }
+            if node.len() > self.config.capacity() {
+                return Err(format!(
+                    "node {id} overflows: {} > {}",
+                    node.len(),
+                    self.config.capacity()
+                ));
+            }
+            if id != self.root && check_fill && node.len() < self.config.min_fill() {
+                return Err(format!(
+                    "node {id} underfull: {} < {}",
+                    node.len(),
+                    self.config.min_fill()
+                ));
+            }
+            for e in &node.entries {
+                let r = &e.mbr;
+                let finite = [r.min.x, r.min.y, r.max.x, r.max.y]
+                    .iter()
+                    .all(|v| v.is_finite());
+                if !finite || r.min.x > r.max.x || r.min.y > r.max.y {
+                    return Err(format!(
+                        "node {id} holds a non-finite or inverted box {r:?}"
+                    ));
+                }
+            }
+            if node.is_leaf() {
+                item_count += node.len();
+                continue;
+            }
+            for e in &node.entries {
+                let child = page(e.child())?;
+                if child.level.checked_add(1) != Some(node.level) {
+                    return Err(format!(
+                        "child {} level {} under node {id} level {}",
+                        e.child(),
+                        child.level,
+                        node.level
+                    ));
+                }
+                let child_mbr = child.mbr();
+                if child_mbr != e.mbr {
+                    return Err(format!(
+                        "entry MBR for child {} is stale: {:?} != {:?}",
+                        e.child(),
+                        e.mbr,
+                        child_mbr
+                    ));
+                }
+                stack.push(e.child());
+            }
+        }
         if item_count != self.len {
             return Err(format!(
                 "tree reports len {} but holds {} items",
                 self.len, item_count
             ));
-        }
-        Ok(())
-    }
-
-    fn validate_node(
-        &self,
-        page: PageId,
-        is_root: bool,
-        check_fill: bool,
-        item_count: &mut usize,
-    ) -> Result<(), String> {
-        let node = self.store.node(page);
-        if node.len() > self.config.capacity() {
-            return Err(format!(
-                "node {page} overflows: {} > {}",
-                node.len(),
-                self.config.capacity()
-            ));
-        }
-        if !is_root && check_fill && node.len() < self.config.min_fill() {
-            return Err(format!(
-                "node {page} underfull: {} < {}",
-                node.len(),
-                self.config.min_fill()
-            ));
-        }
-        if is_root && !node.is_leaf() && node.len() < 2 {
-            return Err(format!("internal root {page} has fewer than 2 children"));
-        }
-        if node.is_leaf() {
-            *item_count += node.len();
-            return Ok(());
-        }
-        for e in &node.entries {
-            let child = self.store.node(e.child());
-            if child.level + 1 != node.level {
-                return Err(format!(
-                    "child {} level {} under node {page} level {}",
-                    e.child(),
-                    child.level,
-                    node.level
-                ));
-            }
-            let child_mbr = child.mbr();
-            if child_mbr != e.mbr {
-                return Err(format!(
-                    "entry MBR for child {} is stale: {:?} != {:?}",
-                    e.child(),
-                    e.mbr,
-                    child_mbr
-                ));
-            }
-            self.validate_node(e.child(), false, check_fill, item_count)?;
         }
         Ok(())
     }

@@ -1,7 +1,7 @@
 //! The dynamic visibility graph.
 
 use crate::sweep::{self, PointClass};
-use obstacle_geom::{orient2d, Orientation, Point, Polygon, Segment};
+use obstacle_geom::{Point, Polygon, Segment};
 
 /// Index of a node within a [`VisibilityGraph`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -501,67 +501,6 @@ impl VisibilityGraph {
             }
         }
         out
-    }
-
-    /// Removes every edge that cannot lie on a shortest path between
-    /// waypoints, keeping only edges *tangent* to the obstacles at each
-    /// obstacle-vertex endpoint (the tangent visibility graph \[PV95\]
-    /// mentioned in §2.3 of the paper).
-    ///
-    /// A shortest path between free points turns only where it is pulled
-    /// taut against an obstacle; at such a vertex both polygon neighbours
-    /// lie weakly on one side of the path. Edges failing that test at
-    /// either endpoint are removable. Waypoint–waypoint edges always
-    /// stay. Returns the number of edges removed.
-    ///
-    /// After pruning, shortest *waypoint-to-waypoint* distances are
-    /// unchanged, but distances between obstacle vertices may increase —
-    /// only call this when querying between waypoints (true for all the
-    /// paper's algorithms).
-    pub fn prune_non_tangent(&mut self) -> usize {
-        let mut doomed: Vec<(NodeId, NodeId)> = Vec::new();
-        for i in 0..self.nodes.len() {
-            if !self.nodes[i].alive {
-                continue;
-            }
-            for &(j, _) in &self.adj[i] {
-                if (j.0 as usize) < i {
-                    continue; // handle each undirected edge once
-                }
-                let pi = self.nodes[i].pos;
-                let pj = self.nodes[j.0 as usize].pos;
-                if !self.tangent_at(NodeId(i as u32), pj) || !self.tangent_at(j, pi) {
-                    doomed.push((NodeId(i as u32), j));
-                }
-            }
-        }
-        for (a, b) in &doomed {
-            self.remove_edge(*a, *b);
-        }
-        doomed.len()
-    }
-
-    /// Whether the edge leaving node `id` towards `toward` is tangent at
-    /// `id` (trivially true for waypoints).
-    fn tangent_at(&self, id: NodeId, toward: Point) -> bool {
-        let node = &self.nodes[id.0 as usize];
-        let NodeKind::ObstacleVertex { obstacle, vertex } = node.kind else {
-            return true;
-        };
-        let poly = &self.obstacles[obstacle.0 as usize].poly;
-        let n = poly.len();
-        let v = node.pos;
-        let u = poly.vertices()[(vertex as usize + n - 1) % n];
-        let w = poly.vertices()[(vertex as usize + 1) % n];
-        // Tangent iff the polygon neighbours are not strictly on opposite
-        // sides of the line through (v, toward).
-        let o_u = orient2d(v, toward, u);
-        let o_w = orient2d(v, toward, w);
-        !matches!(
-            (o_u, o_w),
-            (Orientation::CounterClockwise, Orientation::Clockwise)
-                | (Orientation::Clockwise, Orientation::CounterClockwise)
-        )
     }
 
     /// Exhaustive structural check (tests): adjacency symmetry, weights
