@@ -1,12 +1,13 @@
 //! Micro-benchmarks for the substrates.
 //!
-//! Covers the hot kernels behind the paper's cost model: visibility-graph
-//! construction (the O(n² log n) term dominating OR/ONN CPU), obstructed
-//! distance computation, Dijkstra, and the R-tree query operations.
+//! Covers the hot kernels behind the paper's cost model: obstructed
+//! distance computation, Dijkstra on the oracle graph, and the R-tree
+//! query operations. (Sweep vs. naive is an engine-level ablation: see
+//! `ablations.rs`.)
 //! Runs on the in-tree [`obstacle_bench::harness`] (the offline
 //! replacement for `criterion`).
 
-use obstacle_bench::harness::{BenchmarkId, Criterion};
+use obstacle_bench::harness::Criterion;
 use obstacle_core::{compute_obstructed_distance, EntityIndex, LocalGraph, ObstacleIndex};
 use obstacle_datagen::{sample_entities, City, CityConfig};
 use obstacle_geom::Point;
@@ -18,41 +19,6 @@ fn scene(n_obstacles: usize) -> City {
     City::generate(CityConfig::new(n_obstacles, 42))
 }
 
-fn bench_graph_construction(c: &mut Criterion) {
-    let mut group = c.benchmark_group("visibility_graph_build");
-    for &n in &[8usize, 32, 128] {
-        let city = scene(n);
-        let waypoints: Vec<(Point, u64)> = sample_entities(&city, 8, 1)
-            .into_iter()
-            .enumerate()
-            .map(|(i, p)| (p, i as u64))
-            .collect();
-        for (name, builder) in [
-            ("sweep", EdgeBuilder::RotationalSweep),
-            ("naive", EdgeBuilder::Naive),
-        ] {
-            group.bench_with_input(
-                BenchmarkId::new(name, n),
-                &(&city, &waypoints, builder),
-                |b, (city, waypoints, builder)| {
-                    b.iter(|| {
-                        let (g, _) = VisibilityGraph::build(
-                            *builder,
-                            city.obstacles
-                                .iter()
-                                .enumerate()
-                                .map(|(i, p)| (p.clone(), i as u64)),
-                            waypoints.iter().copied(),
-                        );
-                        black_box(g.edge_count())
-                    })
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
 fn bench_dijkstra(c: &mut Criterion) {
     let city = scene(64);
     let wps: Vec<(Point, u64)> = sample_entities(&city, 16, 2)
@@ -61,7 +27,6 @@ fn bench_dijkstra(c: &mut Criterion) {
         .map(|(i, p)| (p, i as u64))
         .collect();
     let (g, ids) = VisibilityGraph::build(
-        EdgeBuilder::RotationalSweep,
         city.obstacles
             .iter()
             .enumerate()
@@ -136,7 +101,6 @@ fn bench_insertion(c: &mut Criterion) {
 
 fn main() {
     let mut c = Criterion::default().sample_size(10);
-    bench_graph_construction(&mut c);
     bench_dijkstra(&mut c);
     bench_obstructed_distance(&mut c);
     bench_rtree_ops(&mut c);

@@ -971,9 +971,12 @@ fn print_stats(stats: &obstacle_core::QueryStats) {
     );
 }
 
+/// `X,Y` with both coordinates finite (`nan,inf` parses as `f64` but is
+/// nothing the engine can answer about).
 fn parse_point(s: &str) -> Option<Point> {
     let (x, y) = s.split_once(',')?;
-    Some(Point::new(x.trim().parse().ok()?, y.trim().parse().ok()?))
+    let (x, y): (f64, f64) = (x.trim().parse().ok()?, y.trim().parse().ok()?);
+    (x.is_finite() && y.is_finite()).then(|| Point::new(x, y))
 }
 
 fn parse_args() -> Args {
@@ -1080,7 +1083,9 @@ fn parse_args() -> Args {
             "--rate" => {
                 out.rate = value("--rate")
                     .parse()
-                    .unwrap_or_else(|_| usage("bad --rate"))
+                    .ok()
+                    .filter(|r: &f64| r.is_finite() && *r > 0.0)
+                    .unwrap_or_else(|| usage("bad --rate (queries/sec, finite and > 0)"))
             }
             other => usage(&format!("unknown flag '{other}'")),
         }
@@ -1125,7 +1130,7 @@ fn usage(err: &str) -> ! {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_query_line;
+    use super::{parse_point, parse_query_line};
     use obstacle_core::Query;
     use obstacle_geom::Point;
 
@@ -1156,12 +1161,27 @@ mod tests {
             })
         );
         assert_eq!(
+            parse_query_line("path 0 0 1 1"),
+            Ok(Query::Path {
+                from: Point::new(0.0, 0.0),
+                to: Point::new(1.0, 1.0)
+            })
+        );
+        assert_eq!(
             parse_query_line("path 0 0 1e-3 -4"),
             Ok(Query::Path {
                 from: Point::new(0.0, 0.0),
                 to: Point::new(1e-3, -4.0)
             })
         );
+    }
+
+    #[test]
+    fn points_on_the_command_line_must_be_finite() {
+        assert_eq!(parse_point("0.5, -2"), Some(Point::new(0.5, -2.0)));
+        for arg in ["nan,inf", "0,nan", "inf,0", "1", "1,2,3", "x,y"] {
+            assert_eq!(parse_point(arg), None, "accepted '{arg}'");
+        }
     }
 
     #[test]
@@ -1172,6 +1192,7 @@ mod tests {
             "nn 0",
             "nn x 0",
             "nn nan 0",
+            "nn nan nan",
             "nn 0 inf",
             "nn 0 0 1e30",
             "nn 0 0 -3",
@@ -1180,7 +1201,9 @@ mod tests {
             "nn 0 0 99999999999999999999999",
             "range 0 0",
             "range 0 0 -0.1",
+            "range 0 0 -1",
             "range 0 0 nan",
+            "range 0 0 inf",
             "range -inf 0 1",
             "path 0 0 1",
             "path 0 0 1 infinity",

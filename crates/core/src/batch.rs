@@ -39,7 +39,6 @@ use crate::semi_join::{semi_join, SemiJoinStrategy};
 use crate::stats::{ClosestPairsResult, JoinResult, NearestResult, QueryStats, RangeResult};
 use obstacle_geom::{hilbert_index_unit, Point, Rect};
 use obstacle_visibility::PathResult;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
@@ -204,20 +203,6 @@ pub enum Schedule {
     Hilbert,
 }
 
-/// Delivery-order policy of a streaming batch.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Delivery {
-    /// Yield `(input_index, answer)` pairs the moment workers finish
-    /// them, in completion order (lowest latency to the first answer).
-    #[default]
-    AsCompleted,
-    /// Re-order delivery to input order: pairs are yielded with strictly
-    /// ascending indices, buffering out-of-order completions until their
-    /// turn (what an ordered consumer — a result writer, a merge join —
-    /// wants from a stream).
-    InputOrder,
-}
-
 /// Aggregate execution diagnostics of one batch run, summed over all
 /// workers. Scene reuse counts are the observable the Hilbert schedule
 /// exists to improve; they never affect answers.
@@ -239,19 +224,15 @@ pub struct BatchStats {
 
 /// Iterator over the answers of a streaming batch
 /// ([`BatchRequest::stream`]): yields `(input_index, Answer)`
-/// pairs as workers complete them, re-ordered to input order when the run
-/// asked for [`Delivery::InputOrder`]. Dropping the stream early cancels
-/// the remaining queries (workers stop at the next claim).
+/// pairs the moment workers finish them, in completion order (an ordered
+/// consumer slots them by index, as [`BatchRequest::collect`] does).
+/// Dropping the stream early cancels the remaining queries (workers stop
+/// at the next claim).
 #[derive(Debug)]
 pub struct BatchStream {
     rx: mpsc::Receiver<(usize, Answer)>,
     /// Answers not yet yielded (the stream ends after this many).
     remaining: usize,
-    delivery: Delivery,
-    /// Next input index to deliver (`Delivery::InputOrder`).
-    next_index: usize,
-    /// Re-order buffer of completed-but-not-yet-due answers.
-    held: BTreeMap<usize, Answer>,
 }
 
 impl Iterator for BatchStream {
@@ -261,29 +242,12 @@ impl Iterator for BatchStream {
         if self.remaining == 0 {
             return None;
         }
-        loop {
-            if self.delivery == Delivery::InputOrder {
-                if let Some(a) = self.held.remove(&self.next_index) {
-                    let i = self.next_index;
-                    self.next_index += 1;
-                    self.remaining -= 1;
-                    return Some((i, a));
-                }
-            }
-            // `recv` can only fail if a worker panicked mid-batch (every
-            // sender hung up with answers still owed); ending the stream
-            // lets the scope's `join` surface that panic.
-            let (i, a) = self.rx.recv().ok()?;
-            match self.delivery {
-                Delivery::AsCompleted => {
-                    self.remaining -= 1;
-                    return Some((i, a));
-                }
-                Delivery::InputOrder => {
-                    self.held.insert(i, a);
-                }
-            }
-        }
+        // `recv` can only fail if a worker panicked mid-batch (every
+        // sender hung up with answers still owed); ending the stream lets
+        // the scope's `join` surface that panic.
+        let pair = self.rx.recv().ok()?;
+        self.remaining -= 1;
+        Some(pair)
     }
 }
 
@@ -500,9 +464,9 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// Starts a [`BatchRequest`] over `queries` — the single entry point
-    /// of the batch engine. Configure it with [`BatchRequest::threads`],
-    /// [`BatchRequest::schedule`] and [`BatchRequest::delivery`], and
-    /// finish with a terminal: [`BatchRequest::collect`] for answers in
+    /// of the batch engine. Configure it with [`BatchRequest::threads`]
+    /// and [`BatchRequest::schedule`], and finish with a terminal:
+    /// [`BatchRequest::collect`] for answers in
     /// input order, [`BatchRequest::stream`] for answers as they
     /// complete, or [`BatchRequest::each`] for a per-answer callback.
     pub fn batch<'q>(&self, queries: &'q [Query]) -> BatchRequest<'a, 'q> {
@@ -511,13 +475,12 @@ impl<'a> QueryEngine<'a> {
             queries,
             threads: 1,
             schedule: Schedule::default(),
-            delivery: Delivery::default(),
         }
     }
 }
 
 /// A configured batch submission: the one place a batch is configured —
-/// worker count, [`Schedule`], [`Delivery`] — with three terminals.
+/// worker count and [`Schedule`] — with three terminals.
 /// Built by [`QueryEngine::batch`]. The resident
 /// [`QueryService`](crate::service::QueryService) shares its execution
 /// unit ([`QueryEngine::execute_with`] over a per-worker [`SceneCache`])
@@ -532,7 +495,6 @@ pub struct BatchRequest<'a, 'q> {
     queries: &'q [Query],
     threads: usize,
     schedule: Schedule,
-    delivery: Delivery,
 }
 
 impl BatchRequest<'_, '_> {
@@ -546,14 +508,6 @@ impl BatchRequest<'_, '_> {
     /// Execution-order policy (see [`Schedule`]).
     pub fn schedule(mut self, schedule: Schedule) -> Self {
         self.schedule = schedule;
-        self
-    }
-
-    /// Delivery-order policy of [`BatchRequest::stream`] /
-    /// [`BatchRequest::each`] (collected answers are always in input
-    /// order).
-    pub fn delivery(mut self, delivery: Delivery) -> Self {
-        self.delivery = delivery;
         self
     }
 
@@ -600,9 +554,7 @@ impl BatchRequest<'_, '_> {
     /// remaining queries: workers stop at their next claim.
     ///
     /// Answers are bit-identical to sequential execution under every
-    /// schedule, delivery policy and thread count; with
-    /// [`Delivery::InputOrder`] the yielded indices are exactly `0, 1,
-    /// 2, …` (a re-order buffer holds early completions).
+    /// schedule and thread count.
     pub fn stream<R>(self, consumer: impl FnOnce(BatchStream) -> R) -> (R, BatchStats) {
         let engine = self.engine;
         let queries = self.queries;
@@ -645,9 +597,6 @@ impl BatchRequest<'_, '_> {
             let stream = BatchStream {
                 rx,
                 remaining: queries.len(),
-                delivery: self.delivery,
-                next_index: 0,
-                held: BTreeMap::new(),
             };
             let result = consumer(stream);
             for worker in workers {
@@ -662,9 +611,8 @@ impl BatchRequest<'_, '_> {
     }
 
     /// Executes the request, invoking `on_answer(input_index, answer)` on
-    /// the calling thread for every query as workers complete them
-    /// (ordered per [`BatchRequest::delivery`]), and returns the run's
-    /// [`BatchStats`].
+    /// the calling thread for every query as workers complete them, and
+    /// returns the run's [`BatchStats`].
     pub fn each(self, mut on_answer: impl FnMut(usize, Answer)) -> BatchStats {
         let ((), stats) = self.stream(|stream| {
             for (i, answer) in stream {
@@ -978,25 +926,6 @@ mod tests {
     }
 
     #[test]
-    fn in_order_delivery_yields_strictly_ascending_indices() {
-        let (entities, obstacles) = scene();
-        let engine = QueryEngine::new(&entities, &obstacles);
-        let queries = mixed_queries();
-        // Hilbert schedule *executes* out of input order — at one worker
-        // too — so in-order delivery genuinely exercises the re-order
-        // buffer.
-        for threads in [1, 4] {
-            let (indices, _) = engine
-                .batch(&queries)
-                .threads(threads)
-                .schedule(Schedule::Hilbert)
-                .delivery(Delivery::InputOrder)
-                .stream(|stream| stream.map(|(i, _)| i).collect::<Vec<usize>>());
-            assert_eq!(indices, (0..queries.len()).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
     fn dropping_the_stream_early_cancels_without_hanging() {
         let (entities, obstacles) = scene();
         let engine = QueryEngine::new(&entities, &obstacles);
@@ -1018,7 +947,7 @@ mod tests {
     }
 
     #[test]
-    fn each_delivers_in_input_order_when_asked() {
+    fn each_delivers_every_answer_exactly_once() {
         let (entities, obstacles) = scene();
         let engine = QueryEngine::new(&entities, &obstacles);
         let queries = mixed_queries();
@@ -1027,8 +956,8 @@ mod tests {
         let stats = engine
             .batch(&queries)
             .threads(3)
-            .delivery(Delivery::InputOrder)
             .each(|i, a| delivered.push((i, a)));
+        delivered.sort_by_key(|(i, _)| *i);
         assert_eq!(delivered.len(), queries.len());
         for (pos, (i, a)) in delivered.iter().enumerate() {
             assert_eq!(pos, *i);

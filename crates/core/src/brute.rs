@@ -8,7 +8,7 @@
 //! so keep datasets small.
 
 use obstacle_geom::{Point, Polygon};
-use obstacle_visibility::{dijkstra_distance, EdgeBuilder, NodeId, VisibilityGraph};
+use obstacle_visibility::{dijkstra_distance, NodeId, VisibilityGraph};
 
 /// Brute-force oracle over a fixed obstacle set.
 pub struct BruteForce {
@@ -90,7 +90,6 @@ impl BruteForce {
 
     fn graph_with(&self, points: &[Point]) -> (VisibilityGraph, Vec<NodeId>) {
         VisibilityGraph::build(
-            EdgeBuilder::Naive,
             self.obstacles
                 .iter()
                 .enumerate()

@@ -377,7 +377,6 @@ mod tests {
         let d = dist_through(walls.clone(), a, b).unwrap();
         // Verify against the full (global) graph distance.
         let (full, wps) = obstacle_visibility::VisibilityGraph::build(
-            EdgeBuilder::Naive,
             walls.into_iter().enumerate().map(|(i, p)| (p, i as u64)),
             [(a, 0), (b, 1)],
         );

@@ -75,8 +75,7 @@ mod stats;
 mod updates;
 
 pub use batch::{
-    Answer, BatchRequest, BatchStats, BatchStream, Delivery, Query, SceneBudget, SceneCache,
-    Schedule,
+    Answer, BatchRequest, BatchStats, BatchStream, Query, SceneBudget, SceneCache, Schedule,
 };
 pub use brute::BruteForce;
 pub use closest_pair::{closest_pairs, incremental_closest_pairs, IncrementalClosestPairs};

@@ -435,6 +435,23 @@ impl Shared {
     }
 }
 
+/// Marks the queue closed (and un-paused, so the drain makes progress)
+/// and wakes everyone when dropped — at the end of [`QueryService::run`]'s
+/// body, and equally when the body unwinds: workers parked on the condvar
+/// would otherwise keep `thread::scope` waiting forever and the panic
+/// would never surface.
+struct CloseOnDrop<'s>(&'s Shared);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        let mut q = self.0.queue.lock();
+        q.closed = true;
+        q.paused = false;
+        drop(q);
+        self.0.cv.notify_all();
+    }
+}
+
 /// The indexes the service owns for its lifetime, behind one lock so
 /// edit batches commit atomically against every in-flight query.
 #[derive(Debug)]
@@ -476,7 +493,9 @@ impl<'s> QueryService<'s> {
     /// live service handle. When `body` returns the service closes:
     /// still-pending queries drain (they execute — a paused service is
     /// resumed for the drain), workers join, and the indexes are handed
-    /// back in the [`ServiceRun`].
+    /// back in the [`ServiceRun`]. A `body` that panics closes the
+    /// service the same way, and the panic propagates once the workers
+    /// have joined.
     ///
     /// Structured concurrency, deliberately: the pool lives exactly as
     /// long as the body, no detached threads, and the indexes come back
@@ -525,7 +544,10 @@ impl<'s> QueryService<'s> {
                 world: &world,
                 rx: Mutex::new(rx),
             };
-            let output = service.close_after(body);
+            let output = {
+                let _close = CloseOnDrop(&shared);
+                body(&service)
+            };
             let mut stats = {
                 let mut q = shared.queue.lock();
                 std::mem::take(&mut q.stats)
@@ -549,18 +571,6 @@ impl<'s> QueryService<'s> {
             entities,
             obstacles,
         }
-    }
-
-    /// Runs `body`, then marks the queue closed (and un-paused, so the
-    /// drain makes progress) and wakes everyone.
-    fn close_after<R>(&self, body: impl FnOnce(&QueryService<'_>) -> R) -> R {
-        let output = body(self);
-        let mut q = self.shared.queue.lock();
-        q.closed = true;
-        q.paused = false;
-        drop(q);
-        self.shared.cv.notify_all();
-        output
     }
 
     /// Submits one query. On admission returns a [`Ticket`] whose id

@@ -64,7 +64,7 @@ fn range_matches_oracle() {
 #[test]
 fn lazy_range_matches_materialized_local_graph() {
     use obstacle_datagen::ObstacleShape;
-    use obstacle_visibility::{bounded_expansion, EdgeBuilder, NodeKind, VisibilityGraph};
+    use obstacle_visibility::{bounded_expansion, NodeKind, VisibilityGraph};
 
     for (shape, seed) in [
         (ObstacleShape::StreetRect, 0xA1u64),
@@ -90,7 +90,6 @@ fn lazy_range_matches_materialized_local_graph() {
                 let mut expect: Vec<(u64, f64)> = Vec::new();
                 if !cand.is_empty() {
                     let (graph, waypoints) = VisibilityGraph::build(
-                        EdgeBuilder::Naive,
                         relevant
                             .iter()
                             .map(|item| (obstacles.polygon(item.id).clone(), item.id)),

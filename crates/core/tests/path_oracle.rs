@@ -75,7 +75,6 @@ fn check_scene(shape: ObstacleShape, scene_seed: u64, obstacles: usize, queries:
     // pair; instead build it once with no waypoints and re-derive per
     // pair via the (cheaper) dynamic add/remove path.
     let (mut full, _) = VisibilityGraph::build(
-        EdgeBuilder::Naive,
         city.obstacles
             .iter()
             .enumerate()
@@ -166,7 +165,6 @@ fn engine_reuse_across_queries_stays_exact() {
     });
     let index = ObstacleIndex::bulk_load(RTreeConfig::tiny(16), city.obstacles.clone());
     let (mut full, _) = VisibilityGraph::build(
-        EdgeBuilder::Naive,
         city.obstacles
             .iter()
             .enumerate()

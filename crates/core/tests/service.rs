@@ -15,6 +15,8 @@
 //! * **Claim order**: a paused-then-resumed single-worker service
 //!   answers in the batch engine's Hilbert schedule order — the live
 //!   queue and the static scheduler share one key space.
+//! * **Panicking body**: `run` closes the queue while unwinding, so the
+//!   panic reaches the caller instead of parking the workers forever.
 
 use obstacle_core::{
     Admission, Answer, EngineOptions, EntityIndex, ObstacleIndex, Outcome, Query, QueryEngine,
@@ -343,4 +345,32 @@ fn paused_queue_drains_in_hilbert_claim_order() {
             .collect::<Vec<_>>()
     });
     assert_eq!(run.output, expected);
+}
+
+#[test]
+fn a_panicking_body_propagates_instead_of_hanging() {
+    let (entities, obstacles) = build_world(Backend::Paged);
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    // Detached on purpose: if `run` hangs (the defect this test pins) a
+    // scoped thread would hang the test with it instead of failing it.
+    // lint:allow(lock-discipline): the wait below must stay bounded
+    let runner = std::thread::spawn(move || {
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            QueryService::run(
+                entities,
+                obstacles,
+                EngineOptions::default(),
+                ServiceConfig::default().workers(2),
+                |_svc| -> () { panic!("service body failed") },
+            )
+        }));
+        let _ = done_tx.send(result.is_err());
+    });
+    // The wait only bounds the failure: on success the runner reports as
+    // soon as the two idle workers have been woken and joined.
+    let panicked = done_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("a panicking body must close the queue, not leave the workers parked");
+    assert!(panicked, "the body's panic must reach run's caller");
+    runner.join().expect("runner thread");
 }

@@ -37,7 +37,7 @@ mod segment;
 pub use angle::{angular_cmp, pseudo_angle, AngularOrder};
 pub use hilbert::{hilbert_index, hilbert_index_unit, HILBERT_ORDER};
 pub use hull::convex_hull;
-pub use order::{sort_by_f64_key, total_cmp};
+pub use order::{sort_by_f64_key, total_cmp, OrdF64};
 pub use point::Point;
 pub use polygon::{BoundaryAttachment, PointLocation, Polygon, PolygonError};
 pub use predicates::{orient2d, orient2d_exact, Orientation};

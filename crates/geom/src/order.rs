@@ -42,6 +42,42 @@ pub fn sort_by_f64_key<T, F: FnMut(&T) -> f64>(v: &mut [T], mut key: F) {
     v.sort_by(|a, b| total_cmp(key(a), key(b)));
 }
 
+/// An `f64` that implements `Ord` under [`total_cmp`]: the one key type
+/// of every priority queue in the workspace (R-tree best-first searches,
+/// A\* and Dijkstra frontiers, the operators' pending heaps).
+///
+/// Distances flowing through those queues are finite by construction
+/// (Euclidean distances of finite coordinates); [`OrdF64::new`] asserts
+/// that in debug builds, and a NaN that gets past it sorts last instead
+/// of panicking.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct OrdF64(pub f64);
+
+impl OrdF64 {
+    /// Wraps a distance value, debug-asserting it is not NaN.
+    #[inline]
+    pub fn new(v: f64) -> Self {
+        debug_assert!(!v.is_nan(), "NaN distance in priority queue");
+        OrdF64(v)
+    }
+}
+
+impl Eq for OrdF64 {}
+
+impl PartialOrd for OrdF64 {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for OrdF64 {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        total_cmp(self.0, other.0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,5 +139,40 @@ mod tests {
         sort_by_f64_key(&mut pts, |p| p.1);
         let ids: Vec<u32> = pts.iter().map(|p| p.0).collect();
         assert_eq!(ids, vec![2, 0, 1, 3]);
+    }
+
+    #[test]
+    fn orders_like_f64() {
+        assert!(OrdF64::new(1.0) < OrdF64::new(2.0));
+        assert!(OrdF64::new(-1.0) < OrdF64::new(0.0));
+        assert_eq!(OrdF64::new(3.5), OrdF64::new(3.5));
+    }
+
+    #[test]
+    fn works_in_a_binary_heap_as_min_heap() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut h = BinaryHeap::new();
+        for v in [3.0, 1.0, 2.0] {
+            h.push(Reverse(OrdF64::new(v)));
+        }
+        assert_eq!(h.pop().unwrap().0 .0, 1.0);
+        assert_eq!(h.pop().unwrap().0 .0, 2.0);
+        assert_eq!(h.pop().unwrap().0 .0, 3.0);
+    }
+
+    #[test]
+    fn nan_keys_order_deterministically_without_panicking() {
+        // Regression for the NaN burn-down: a NaN key reaching the heap
+        // (bypassing `new`'s debug assert) must not abort the query.
+        let nan = OrdF64(f64::NAN);
+        assert_eq!(nan.cmp(&nan), Ordering::Equal);
+        assert!(OrdF64(1.0) < nan);
+        assert!(OrdF64(f64::INFINITY) < nan);
+        let mut v = [nan, OrdF64(2.0), OrdF64(-1.0)];
+        v.sort();
+        assert_eq!(v[0].0, -1.0);
+        assert_eq!(v[1].0, 2.0);
+        assert!(v[2].0.is_nan());
     }
 }

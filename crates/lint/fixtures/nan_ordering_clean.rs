@@ -5,9 +5,9 @@ fn total_sort(v: &mut Vec<f64>) {
     v.sort_by(|a, b| obstacle_geom::total_cmp(*a, *b));
 }
 
-struct D(f64);
+struct Key(f64);
 
-impl PartialOrd for D {
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(obstacle_geom::total_cmp(self.0, other.0))
     }

@@ -40,7 +40,7 @@ fn tombstone_safety_fixture_passes() {
 #[test]
 fn nan_ordering_fixture_trips() {
     let fired = passes_fired(
-        "crates/rtree/src/float.rs",
+        "crates/rtree/src/query/nn.rs",
         include_str!("../fixtures/nan_ordering_trip.rs"),
     );
     assert_eq!(fired, vec![NAN_ORDERING]);
@@ -49,7 +49,7 @@ fn nan_ordering_fixture_trips() {
 #[test]
 fn nan_ordering_fixture_passes() {
     let fired = passes_fired(
-        "crates/rtree/src/float.rs",
+        "crates/rtree/src/query/nn.rs",
         include_str!("../fixtures/nan_ordering_clean.rs"),
     );
     assert!(fired.is_empty(), "unexpected violations: {fired:?}");

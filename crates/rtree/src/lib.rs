@@ -72,7 +72,6 @@ pub mod sync;
 mod backend;
 mod config;
 mod entry;
-mod float;
 mod node;
 mod packed;
 pub mod persist;
@@ -84,8 +83,8 @@ mod tree;
 pub use backend::{AnyTree, NodeRef, TreeBackend};
 pub use config::{Backend, RTreeConfig};
 pub use entry::{Entry, Item, PageId};
-pub use float::OrdF64;
 pub use node::Node;
+pub use obstacle_geom::OrdF64;
 pub use packed::PackedRTree;
 pub use query::closest_pairs::ClosestPairs;
 pub use query::join::distance_join;

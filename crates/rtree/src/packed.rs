@@ -310,36 +310,23 @@ impl PackedRTree {
 
     /// All items whose MBR intersects `window`.
     pub fn range_rect(&self, window: &Rect) -> Vec<Item> {
-        self.search(|r| r.intersects(window))
+        let mut out = Vec::new();
+        self.search(
+            |r| r.intersects(window).then_some(()),
+            |item, ()| out.push(item),
+        );
+        out
     }
 
     /// All items whose MBR lies within Euclidean distance `radius` of
     /// `center`.
     pub fn range_circle(&self, center: Point, radius: f64) -> Vec<Item> {
         let r_sq = radius * radius;
-        self.search(|r| r.mindist_point_sq(center) <= r_sq)
-    }
-
-    fn search(&self, keep: impl Fn(&Rect) -> bool) -> Vec<Item> {
         let mut out = Vec::new();
-        let Some(root) = self.root_slot() else {
-            return out;
-        };
-        let mut stack = vec![root];
-        while let Some(slot) = stack.pop() {
-            self.record_visit();
-            let leaf = self.slot_level(slot) == 1;
-            for c in self.children_of(slot) {
-                let mbr = self.slot_box(c);
-                if keep(&mbr) {
-                    if leaf {
-                        out.push(Item::new(mbr, self.slot_index(c)));
-                    } else {
-                        stack.push(c);
-                    }
-                }
-            }
-        }
+        self.search(
+            |r| (r.mindist_point_sq(center) <= r_sq).then_some(()),
+            |item, ()| out.push(item),
+        );
         out
     }
 
@@ -348,8 +335,19 @@ impl PackedRTree {
     /// monotonicity contract.
     pub fn range_by_bound(&self, bound: impl Fn(&Rect) -> f64, threshold: f64) -> Vec<(Item, f64)> {
         let mut out = Vec::new();
+        self.search(
+            |r| Some(bound(r)).filter(|&b| b <= threshold),
+            |item, b| out.push((item, b)),
+        );
+        out
+    }
+
+    /// The one stack descent behind the range queries: visits each node
+    /// whose box `keep` accepts and emits each accepted item together
+    /// with what `keep` returned for it (`keep` runs once per box).
+    fn search<T>(&self, keep: impl Fn(&Rect) -> Option<T>, mut emit: impl FnMut(Item, T)) {
         let Some(root) = self.root_slot() else {
-            return out;
+            return;
         };
         let mut stack = vec![root];
         while let Some(slot) = stack.pop() {
@@ -357,17 +355,15 @@ impl PackedRTree {
             let leaf = self.slot_level(slot) == 1;
             for c in self.children_of(slot) {
                 let mbr = self.slot_box(c);
-                let b = bound(&mbr);
-                if b <= threshold {
+                if let Some(kept) = keep(&mbr) {
                     if leaf {
-                        out.push((Item::new(mbr, self.slot_index(c)), b));
+                        emit(Item::new(mbr, self.slot_index(c)), kept);
                     } else {
                         stack.push(c);
                     }
                 }
             }
         }
-        out
     }
 
     /// Every item, in storage (Hilbert) order; counts one visit per leaf

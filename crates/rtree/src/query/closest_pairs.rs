@@ -13,8 +13,8 @@
 
 use crate::backend::{NodeRef, TreeBackend};
 use crate::entry::{Entry, Item};
-use crate::float::OrdF64;
 use crate::tree::RTree;
+use obstacle_geom::OrdF64;
 use obstacle_geom::Rect;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

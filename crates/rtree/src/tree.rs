@@ -525,28 +525,40 @@ impl RTree {
     // Basic queries (range); NN / join / closest pairs live in `query`.
     // -----------------------------------------------------------------
 
-    /// All items whose MBR intersects `window`.
-    pub fn range_rect(&self, window: &Rect) -> Vec<Item> {
-        let mut out = Vec::new();
+    /// The one stack descent behind every range query: visits each
+    /// subtree whose node MBR `keep` accepts and emits each accepted leaf
+    /// entry together with what `keep` returned for it. `keep` runs
+    /// exactly once per entry on the descent path. Accepted children are
+    /// pushed in entry order (so the last one is read first) — page
+    /// fetches and, through the LRU buffer, misses depend on that order.
+    fn descend<T>(&self, keep: impl Fn(&Rect) -> Option<T>, mut emit: impl FnMut(Item, T)) {
         let mut stack = vec![self.root];
         while let Some(page) = stack.pop() {
             let node = self.read_page(page);
             if node.is_leaf() {
-                out.extend(
-                    node.entries
-                        .iter()
-                        .filter(|e| e.mbr.intersects(window))
-                        .map(|e| Item::from(*e)),
-                );
+                for e in &node.entries {
+                    if let Some(kept) = keep(&e.mbr) {
+                        emit(Item::from(*e), kept);
+                    }
+                }
             } else {
                 stack.extend(
                     node.entries
                         .iter()
-                        .filter(|e| e.mbr.intersects(window))
+                        .filter(|e| keep(&e.mbr).is_some())
                         .map(|e| e.child()),
                 );
             }
         }
+    }
+
+    /// All items whose MBR intersects `window`.
+    pub fn range_rect(&self, window: &Rect) -> Vec<Item> {
+        let mut out = Vec::new();
+        self.descend(
+            |r| r.intersects(window).then_some(()),
+            |item, ()| out.push(item),
+        );
         out
     }
 
@@ -557,25 +569,10 @@ impl RTree {
     pub fn range_circle(&self, center: Point, radius: f64) -> Vec<Item> {
         let r_sq = radius * radius;
         let mut out = Vec::new();
-        let mut stack = vec![self.root];
-        while let Some(page) = stack.pop() {
-            let node = self.read_page(page);
-            if node.is_leaf() {
-                out.extend(
-                    node.entries
-                        .iter()
-                        .filter(|e| e.mbr.mindist_point_sq(center) <= r_sq)
-                        .map(|e| Item::from(*e)),
-                );
-            } else {
-                stack.extend(
-                    node.entries
-                        .iter()
-                        .filter(|e| e.mbr.mindist_point_sq(center) <= r_sq)
-                        .map(|e| e.child()),
-                );
-            }
-        }
+        self.descend(
+            |r| (r.mindist_point_sq(center) <= r_sq).then_some(()),
+            |item, ()| out.push(item),
+        );
         out
     }
 
@@ -594,38 +591,17 @@ impl RTree {
     /// the sum of `mindist`s to the two foci.
     pub fn range_by_bound(&self, bound: impl Fn(&Rect) -> f64, threshold: f64) -> Vec<(Item, f64)> {
         let mut out = Vec::new();
-        let mut stack = vec![self.root];
-        while let Some(page) = stack.pop() {
-            let node = self.read_page(page);
-            if node.is_leaf() {
-                out.extend(node.entries.iter().filter_map(|e| {
-                    let b = bound(&e.mbr);
-                    (b <= threshold).then(|| (Item::from(*e), b))
-                }));
-            } else {
-                stack.extend(
-                    node.entries
-                        .iter()
-                        .filter(|e| bound(&e.mbr) <= threshold)
-                        .map(|e| e.child()),
-                );
-            }
-        }
+        self.descend(
+            |r| Some(bound(r)).filter(|&b| b <= threshold),
+            |item, b| out.push((item, b)),
+        );
         out
     }
 
     /// Every item in the tree, in storage order (full scan, counted I/O).
     pub fn items(&self) -> Vec<Item> {
         let mut out = Vec::with_capacity(self.len);
-        let mut stack = vec![self.root];
-        while let Some(page) = stack.pop() {
-            let node = self.read_page(page);
-            if node.is_leaf() {
-                out.extend(node.entries.iter().map(|e| Item::from(*e)));
-            } else {
-                stack.extend(node.entries.iter().map(|e| e.child()));
-            }
-        }
+        self.descend(|_| Some(()), |item, ()| out.push(item));
         out
     }
 

@@ -310,3 +310,43 @@ fn str_bulk_load_equals_scan() {
         assert_eq!(all.len(), n);
     });
 }
+
+#[test]
+fn range_descents_keep_their_page_visit_order() {
+    // The three range queries share one stack descent; which children it
+    // pushes, and in what order, decides both how many pages are fetched
+    // and — through the LRU buffer, 10 % of the tree — how many of those
+    // fetches miss. The figure harness prints these counts, so they are
+    // pinned to the values of the four hand-written descents this one
+    // replaced. The queries overlap and run back to back, twice, on one
+    // buffer, so each one's hits depend on the order in which the one
+    // before it left its pages; counts are cumulative.
+    let points = pts(3000, 9);
+    let t = RTree::bulk_load_str(RTreeConfig::tiny(16), items_of(&points));
+    t.reset_buffer();
+    t.reset_io_stats();
+    let mut seen = Vec::new();
+    let mut record = |results: usize| {
+        let io = t.io_stats();
+        seen.push((results, io.fetches(), io.reads));
+    };
+    let center = Point::new(0.55, 0.45);
+    let foci = |r: &Rect| r.mindist_point(center) + r.mindist_point(Point::new(0.45, 0.5));
+    for _ in 0..2 {
+        record(
+            t.range_rect(&Rect::from_coords(0.35, 0.4, 0.65, 0.58))
+                .len(),
+        );
+        record(t.range_circle(center, 0.14).len());
+        record(t.range_by_bound(foci, 0.32).len());
+    }
+    let parent = [
+        (144, 20, 20),
+        (173, 45, 31),
+        (206, 70, 56),
+        (144, 90, 76),
+        (173, 115, 87),
+        (206, 140, 112),
+    ];
+    assert_eq!(seen, parent, "(results, fetches, misses) after each query");
+}

@@ -1,21 +1,17 @@
 //! Lazy A*-guided visibility search.
 //!
-//! [`VisibilityGraph`](crate::VisibilityGraph) *materializes* every
-//! visibility edge: each `add_obstacle` re-checks all existing edges
-//! against the newcomer and sweeps from every new vertex, so growing a
-//! local graph to `n` obstacles costs Θ(n² log n) even when the final
-//! query only ever walks a thin corridor of it. That is the right trade
-//! when many shortest-path expansions reuse one graph (the OR range
-//! query's single-source expansion), but for *point-to-point* distances
-//! most of those edges are never relaxed.
+//! Materializing every visibility edge of a local graph of `n` obstacles
+//! costs Θ(n² log n) even when the query only ever walks a thin corridor
+//! of it: for *point-to-point* distances most of those edges are never
+//! relaxed.
 //!
-//! [`LazyScene`] keeps the opposite end of the trade: obstacles are
-//! registered **without any edge computation** (only the pivot-independent
-//! point classifications of [`sweep::classify`] are maintained), and
-//! successor edges come into existence on demand — when A\* pops a node
-//! from its frontier, *then* one rotational sweep from that node computes
-//! its visible set. Guided by the Euclidean heuristic (admissible and
-//! consistent, since `d_E ≤ d_O` and edge weights are Euclidean lengths),
+//! In a [`LazyScene`] obstacles are registered **without any edge
+//! computation** (only the pivot-independent point classifications of
+//! [`sweep::classify`] are maintained), and successor edges come into
+//! existence on demand — when A\* pops a node from its frontier, *then*
+//! one rotational sweep from that node computes its visible set. Guided
+//! by the Euclidean heuristic (admissible and consistent, since
+//! `d_E ≤ d_O` and edge weights are Euclidean lengths),
 //! A\* settles only nodes whose `g + h` does not exceed the obstructed
 //! distance — the nodes inside the ellipse with foci at the endpoints and
 //! major axis `d_O(p, q)` — so the number of sweeps is proportional to the
@@ -38,25 +34,22 @@
 //!   query — therefore pay each sweep once.
 
 use crate::dijkstra::PathResult;
-use crate::graph::{EdgeBuilder, NodeId, NodeKind, ObstacleId};
+use crate::graph::{NodeId, NodeKind, ObstacleId};
 use crate::sweep::{self, PointClass};
-use obstacle_geom::{pseudo_angle, Point, Polygon, Rect, Segment};
+use obstacle_geom::{pseudo_angle, OrdF64, Point, Polygon, Rect, Segment};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Totally ordered f64 for the A* frontier (keys are finite, non-NaN).
-#[derive(Clone, Copy, PartialEq)]
-struct D(f64);
-impl Eq for D {}
-impl PartialOrd for D {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for D {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        obstacle_geom::total_cmp(self.0, other.0)
-    }
+/// Which algorithm computes a [`LazyScene`] node's successors.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+pub enum EdgeBuilder {
+    /// Pairwise checks against every obstacle: O(n·m) per node, where m is
+    /// the total number of obstacle edges. The ablation / oracle arm.
+    Naive,
+    /// Rotational plane sweep \[SS84\]: O(n log n) per node. The builder
+    /// used by the paper (and by default here).
+    #[default]
+    RotationalSweep,
 }
 
 /// Deterministic total order on node *positions*, used as the frontier
@@ -73,7 +66,7 @@ fn pos_key(p: Point) -> (u64, u64) {
 
 /// Min-frontier over `(key, position tie-break, node id)` used by both
 /// search loops.
-type Frontier = BinaryHeap<Reverse<(D, (u64, u64), u32)>>;
+type Frontier = BinaryHeap<Reverse<(OrdF64, (u64, u64), u32)>>;
 
 #[derive(Clone, Debug)]
 struct LazyNode {
@@ -181,13 +174,11 @@ fn rect_span(pivot: Point, rect: &Rect) -> Option<(f64, f64)> {
 }
 
 /// A scene of obstacles and waypoints supporting lazy A\* shortest-path
-/// queries (see the module docs for the lazy-vs-materialized trade-off).
+/// queries (see the module docs).
 ///
-/// Node ids are shared with [`VisibilityGraph`](crate::VisibilityGraph)'s
-/// [`NodeId`] space semantics: obstacle vertices are permanent, waypoints
-/// support add/remove. Unlike the materialized graph there is no
-/// adjacency structure to maintain — `add_obstacle` is O(|scene|) for the
-/// classification updates and nothing else.
+/// Obstacle vertices are permanent, waypoints support add/remove. There
+/// is no adjacency structure to maintain — `add_obstacle` is O(|scene|)
+/// for the classification updates and nothing else.
 #[derive(Clone, Debug, Default)]
 pub struct LazyScene {
     builder: EdgeBuilder,
@@ -268,8 +259,7 @@ impl LazyScene {
     }
 
     /// Registers an obstacle. O(|scene|) classification bookkeeping, no
-    /// edge computation — the lazy counterpart of
-    /// [`VisibilityGraph::add_obstacle`](crate::VisibilityGraph::add_obstacle).
+    /// edge computation.
     pub fn add_obstacle(&mut self, poly: Polygon, tag: u64) -> ObstacleId {
         let new_idx = self.polys.len();
 
@@ -414,7 +404,7 @@ impl LazyScene {
         let mut closed = vec![false; n];
         let mut heap: Frontier = BinaryHeap::new();
         g[from.0 as usize] = 0.0;
-        heap.push(Reverse((D(fp.dist(tp)), pos_key(fp), from.0)));
+        heap.push(Reverse((OrdF64(fp.dist(tp)), pos_key(fp), from.0)));
 
         while let Some(Reverse((_, _, u))) = heap.pop() {
             if closed[u as usize] {
@@ -433,7 +423,7 @@ impl LazyScene {
                     g[vi] = nd;
                     pred[vi] = u;
                     let vp = self.nodes[vi].pos;
-                    heap.push(Reverse((D(nd + vp.dist(tp)), pos_key(vp), v.0)));
+                    heap.push(Reverse((OrdF64(nd + vp.dist(tp)), pos_key(vp), v.0)));
                 }
             }
             if to_target[u as usize] {
@@ -442,7 +432,7 @@ impl LazyScene {
                 if nd < g[ti] {
                     g[ti] = nd;
                     pred[ti] = u;
-                    heap.push(Reverse((D(nd), pos_key(tp), to.0)));
+                    heap.push(Reverse((OrdF64(nd), pos_key(tp), to.0)));
                 }
             }
         }
@@ -517,8 +507,8 @@ impl LazyScene {
         let mut settled = Vec::new();
         let mut heap: Frontier = BinaryHeap::new();
         dist[from.0 as usize] = 0.0;
-        heap.push(Reverse((D(0.0), pos_key(fp), from.0)));
-        while let Some(Reverse((D(d), _, u))) = heap.pop() {
+        heap.push(Reverse((OrdF64(0.0), pos_key(fp), from.0)));
+        while let Some(Reverse((OrdF64(d), _, u))) = heap.pop() {
             if d > dist[u as usize] {
                 continue; // stale frontier entry
             }
@@ -534,7 +524,11 @@ impl LazyScene {
                     let nd = d + w;
                     if nd <= radius && nd < dist[v.0 as usize] {
                         dist[v.0 as usize] = nd;
-                        heap.push(Reverse((D(nd), pos_key(self.nodes[v.0 as usize].pos), v.0)));
+                        heap.push(Reverse((
+                            OrdF64(nd),
+                            pos_key(self.nodes[v.0 as usize].pos),
+                            v.0,
+                        )));
                     }
                 }
             }
@@ -542,7 +536,11 @@ impl LazyScene {
                 let nd = d + w;
                 if nd <= radius && nd < dist[v as usize] {
                     dist[v as usize] = nd;
-                    heap.push(Reverse((D(nd), pos_key(self.nodes[v as usize].pos), v)));
+                    heap.push(Reverse((
+                        OrdF64(nd),
+                        pos_key(self.nodes[v as usize].pos),
+                        v,
+                    )));
                 }
             }
         }
@@ -1122,11 +1120,8 @@ mod tests {
         for builder in [EdgeBuilder::RotationalSweep, EdgeBuilder::Naive] {
             let (mut s, na, nb) = lazy_with(builder, &obstacles, a, b);
             let lazy = s.astar(na, nb).unwrap();
-            let (full, wps) = VisibilityGraph::build(
-                EdgeBuilder::Naive,
-                obstacles.iter().cloned().zip(0u64..),
-                [(a, 0), (b, 1)],
-            );
+            let (full, wps) =
+                VisibilityGraph::build(obstacles.iter().cloned().zip(0u64..), [(a, 0), (b, 1)]);
             let exact = shortest_path(&full, wps[0], wps[1]).unwrap();
             assert!(
                 (lazy.distance - exact.distance).abs() < 1e-12,
@@ -1189,7 +1184,6 @@ mod tests {
         assert!(d2 > d1, "new wall must lengthen the path: {d1} vs {d2}");
 
         let (full, wps) = VisibilityGraph::build(
-            EdgeBuilder::Naive,
             [
                 (square(1.0, -1.0, 2.0, 1.0), 0u64),
                 (square(4.0, -2.0, 5.0, 2.0), 1),
@@ -1211,7 +1205,6 @@ mod tests {
         let to = s.vertex_nodes[1][2];
         let p = s.astar(from, to).unwrap();
         let (full, _) = VisibilityGraph::build(
-            EdgeBuilder::Naive,
             [
                 (square(0.0, 0.0, 1.0, 1.0), 0u64),
                 (square(3.0, 0.0, 4.0, 1.0), 1),
@@ -1261,7 +1254,6 @@ mod tests {
             let lazy = s.bounded_expansion(nq, radius, &targets);
 
             let (full, wps) = VisibilityGraph::build(
-                EdgeBuilder::Naive,
                 obstacles.iter().cloned().zip(0u64..),
                 std::iter::once((q, 1000))
                     .chain(waypoints.iter().enumerate().map(|(i, &p)| (p, i as u64))),

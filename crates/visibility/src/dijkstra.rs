@@ -11,24 +11,9 @@
 //!   applications; the paper only needs distances).
 
 use crate::graph::{NodeId, VisibilityGraph};
-use obstacle_geom::Point;
+use obstacle_geom::{OrdF64, Point};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Totally ordered f64 for the heap (distances are finite, non-NaN).
-#[derive(Clone, Copy, PartialEq)]
-struct D(f64);
-impl Eq for D {}
-impl PartialOrd for D {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for D {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        obstacle_geom::total_cmp(self.0, other.0)
-    }
-}
 
 /// A shortest path: total length and the polyline from source to target.
 #[derive(Clone, Debug, PartialEq)]
@@ -47,10 +32,10 @@ pub fn dijkstra_distance(graph: &VisibilityGraph, from: NodeId, to: NodeId) -> O
     }
     let n = graph.node_slots();
     let mut dist = vec![f64::INFINITY; n];
-    let mut heap: BinaryHeap<Reverse<(D, u32)>> = BinaryHeap::new();
+    let mut heap: BinaryHeap<Reverse<(OrdF64, u32)>> = BinaryHeap::new();
     dist[from.0 as usize] = 0.0;
-    heap.push(Reverse((D(0.0), from.0)));
-    while let Some(Reverse((D(d), u))) = heap.pop() {
+    heap.push(Reverse((OrdF64(0.0), from.0)));
+    while let Some(Reverse((OrdF64(d), u))) = heap.pop() {
         if d > dist[u as usize] {
             continue; // stale entry
         }
@@ -61,7 +46,7 @@ pub fn dijkstra_distance(graph: &VisibilityGraph, from: NodeId, to: NodeId) -> O
             let nd = d + w;
             if nd < dist[v.0 as usize] {
                 dist[v.0 as usize] = nd;
-                heap.push(Reverse((D(nd), v.0)));
+                heap.push(Reverse((OrdF64(nd), v.0)));
             }
         }
     }
@@ -78,10 +63,10 @@ pub fn bounded_expansion(graph: &VisibilityGraph, from: NodeId, radius: f64) -> 
     let n = graph.node_slots();
     let mut dist = vec![f64::INFINITY; n];
     let mut settled = Vec::new();
-    let mut heap: BinaryHeap<Reverse<(D, u32)>> = BinaryHeap::new();
+    let mut heap: BinaryHeap<Reverse<(OrdF64, u32)>> = BinaryHeap::new();
     dist[from.0 as usize] = 0.0;
-    heap.push(Reverse((D(0.0), from.0)));
-    while let Some(Reverse((D(d), u))) = heap.pop() {
+    heap.push(Reverse((OrdF64(0.0), from.0)));
+    while let Some(Reverse((OrdF64(d), u))) = heap.pop() {
         if d > dist[u as usize] {
             continue;
         }
@@ -90,7 +75,7 @@ pub fn bounded_expansion(graph: &VisibilityGraph, from: NodeId, radius: f64) -> 
             let nd = d + w;
             if nd <= radius && nd < dist[v.0 as usize] {
                 dist[v.0 as usize] = nd;
-                heap.push(Reverse((D(nd), v.0)));
+                heap.push(Reverse((OrdF64(nd), v.0)));
             }
         }
     }
@@ -102,10 +87,10 @@ pub fn shortest_path(graph: &VisibilityGraph, from: NodeId, to: NodeId) -> Optio
     let n = graph.node_slots();
     let mut dist = vec![f64::INFINITY; n];
     let mut pred: Vec<u32> = vec![u32::MAX; n];
-    let mut heap: BinaryHeap<Reverse<(D, u32)>> = BinaryHeap::new();
+    let mut heap: BinaryHeap<Reverse<(OrdF64, u32)>> = BinaryHeap::new();
     dist[from.0 as usize] = 0.0;
-    heap.push(Reverse((D(0.0), from.0)));
-    while let Some(Reverse((D(d), u))) = heap.pop() {
+    heap.push(Reverse((OrdF64(0.0), from.0)));
+    while let Some(Reverse((OrdF64(d), u))) = heap.pop() {
         if d > dist[u as usize] {
             continue;
         }
@@ -117,7 +102,7 @@ pub fn shortest_path(graph: &VisibilityGraph, from: NodeId, to: NodeId) -> Optio
             if nd < dist[v.0 as usize] {
                 dist[v.0 as usize] = nd;
                 pred[v.0 as usize] = u;
-                heap.push(Reverse((D(nd), v.0)));
+                heap.push(Reverse((OrdF64(nd), v.0)));
             }
         }
     }
@@ -141,14 +126,13 @@ pub fn shortest_path(graph: &VisibilityGraph, from: NodeId, to: NodeId) -> Optio
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{EdgeBuilder, VisibilityGraph};
+    use crate::graph::VisibilityGraph;
     use obstacle_geom::{Polygon, Rect};
 
     /// One square obstacle between two waypoints.
     fn blocked_scene() -> (VisibilityGraph, NodeId, NodeId) {
         let square = Polygon::from_rect(Rect::from_coords(1.0, -1.0, 2.0, 1.0));
         let (g, wps) = VisibilityGraph::build(
-            EdgeBuilder::Naive,
             [(square, 0u64)],
             [(Point::new(0.0, 0.0), 1), (Point::new(3.0, 0.0), 2)],
         );
@@ -197,7 +181,6 @@ mod tests {
             Rect::from_coords(2.0, 1.0, 3.0, 2.0),
         ];
         let (g, wps) = VisibilityGraph::build(
-            EdgeBuilder::Naive,
             walls
                 .iter()
                 .enumerate()
@@ -215,7 +198,6 @@ mod tests {
         // all: every sight line to it crosses the interior.
         let square = Polygon::from_rect(Rect::from_coords(1.0, 1.0, 2.0, 2.0));
         let (g, wps) = VisibilityGraph::build(
-            EdgeBuilder::Naive,
             [(square, 0u64)],
             [(Point::new(0.0, 0.0), 0), (Point::new(1.5, 1.5), 1)],
         );
@@ -250,7 +232,6 @@ mod tests {
     #[test]
     fn dijkstra_equals_euclidean_when_unobstructed() {
         let (g, wps) = VisibilityGraph::build(
-            EdgeBuilder::Naive,
             std::iter::empty::<(Polygon, u64)>(),
             [(Point::new(0.0, 0.0), 0), (Point::new(3.0, 4.0), 1)],
         );
@@ -263,7 +244,7 @@ mod tests {
         // deterministically (totalOrder) instead of aborting the search.
         let mut h = std::collections::BinaryHeap::new();
         for v in [f64::NAN, 1.0, 0.5] {
-            h.push(std::cmp::Reverse(D(v)));
+            h.push(std::cmp::Reverse(OrdF64(v)));
         }
         assert_eq!(h.pop().unwrap().0 .0, 0.5);
         assert_eq!(h.pop().unwrap().0 .0, 1.0);

@@ -1,6 +1,5 @@
-//! The dynamic visibility graph.
+//! The materialized visibility graph: the naive oracle.
 
-use crate::sweep::{self, PointClass};
 use obstacle_geom::{Point, Polygon, Segment};
 
 /// Index of a node within a [`VisibilityGraph`].
@@ -29,73 +28,42 @@ pub enum NodeKind {
     },
 }
 
-/// Which algorithm computes visibility edges.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum EdgeBuilder {
-    /// Pairwise checks against every obstacle: O(n·m) per node, where m is
-    /// the total number of obstacle edges. The correctness oracle.
-    Naive,
-    /// Rotational plane sweep \[SS84\]: O(n log n) per node. The builder
-    /// used by the paper (and by default here).
-    #[default]
-    RotationalSweep,
-}
-
 #[derive(Clone, Debug)]
 struct NodeData {
     pos: Point,
     kind: NodeKind,
     alive: bool,
-    /// Cached pivot-independent classification against the current
-    /// obstacle set (see [`sweep::classify`]), maintained for
-    /// **waypoints** only; obstacle-vertex classifications live in their
-    /// [`ObstacleSlot`] so the sweep can borrow them as slices.
-    class: PointClass,
 }
 
 #[derive(Clone, Debug)]
 struct ObstacleSlot {
     poly: Polygon,
-    /// External identifier (e.g. the obstacle dataset object id); used by
-    /// the query processor to test set membership cheaply.
+    /// External identifier (e.g. the obstacle dataset object id).
     tag: u64,
-    /// Node ids of this obstacle's vertices, in polygon order.
-    nodes: Vec<NodeId>,
-    /// Per-vertex classifications (parallel to `poly.vertices()`).
-    vertex_class: Vec<PointClass>,
 }
 
-/// A visibility graph over polygonal obstacles and free waypoints.
+/// A visibility graph over polygonal obstacles and free waypoints with
+/// every edge materialized by the naive pairwise test
+/// ([`Polygon::blocks_segment`] against every obstacle, O(n·m) per node
+/// for m obstacle edges). It shares no code with the rotational sweep,
+/// which is what makes it the oracle the sweep-driven
+/// [`LazyScene`](crate::LazyScene) is tested against.
 ///
 /// Edge weights are Euclidean segment lengths, so shortest paths in the
 /// graph are exactly the obstructed shortest paths of the paper (by the
 /// Lozano-Pérez/Wesley theorem \[LW79\], shortest obstacle-avoiding paths
 /// only turn at obstacle vertices).
 ///
-/// Obstacles are permanent once added (the paper's local graphs only ever
-/// grow); waypoints support the full add/remove lifecycle.
+/// The obstacle set is fixed at [`build`](VisibilityGraph::build);
+/// waypoints support the full add/remove lifecycle.
 #[derive(Clone, Debug, Default)]
 pub struct VisibilityGraph {
-    builder: EdgeBuilder,
     nodes: Vec<NodeData>,
     adj: Vec<Vec<(NodeId, f64)>>,
     obstacles: Vec<ObstacleSlot>,
 }
 
 impl VisibilityGraph {
-    /// Creates an empty graph using the given edge builder.
-    pub fn new(builder: EdgeBuilder) -> Self {
-        VisibilityGraph {
-            builder,
-            ..Default::default()
-        }
-    }
-
-    /// The edge builder in use.
-    pub fn builder(&self) -> EdgeBuilder {
-        self.builder
-    }
-
     /// Number of live nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.iter().filter(|n| n.alive).count()
@@ -128,14 +96,6 @@ impl VisibilityGraph {
         self.nodes[id.0 as usize].kind
     }
 
-    /// Whether the node id refers to a live node.
-    pub fn is_alive(&self, id: NodeId) -> bool {
-        self.nodes
-            .get(id.0 as usize)
-            .map(|n| n.alive)
-            .unwrap_or(false)
-    }
-
     /// Neighbours of a node with edge weights.
     pub fn neighbors(&self, id: NodeId) -> &[(NodeId, f64)] {
         &self.adj[id.0 as usize]
@@ -147,11 +107,6 @@ impl VisibilityGraph {
         self.nodes.len()
     }
 
-    /// Whether an obstacle with external tag `tag` is present.
-    pub fn has_obstacle_tag(&self, tag: u64) -> bool {
-        self.obstacles.iter().any(|o| o.tag == tag)
-    }
-
     /// Iterator over obstacles as `(id, tag, polygon)`.
     pub fn obstacles(&self) -> impl Iterator<Item = (ObstacleId, u64, &Polygon)> {
         self.obstacles
@@ -160,111 +115,46 @@ impl VisibilityGraph {
             .map(|(i, o)| (ObstacleId(i as u32), o.tag, &o.poly))
     }
 
-    /// The polygon of an obstacle.
-    pub fn obstacle_polygon(&self, id: ObstacleId) -> &Polygon {
-        &self.obstacles[id.0 as usize].poly
-    }
-
-    // -----------------------------------------------------------------
-    // Dynamic maintenance (the paper's add_obstacle / add_entity /
-    // delete_entity operations)
-    // -----------------------------------------------------------------
-
-    /// Adds an obstacle polygon (paper: *add_obstacle*).
-    ///
-    /// Removes every existing edge that crosses the new polygon's interior,
-    /// updates all cached point classifications, then connects the
-    /// polygon's vertices to all visible nodes.
-    pub fn add_obstacle(&mut self, poly: Polygon, tag: u64) -> ObstacleId {
-        // 1. Edges blocked by the newcomer disappear. Only the new polygon
-        //    can invalidate existing edges (they were mutually visible
-        //    before), so one blocks_segment test per edge suffices.
-        let node_n = self.nodes.len();
-        for a in 0..node_n {
-            if !self.nodes[a].alive {
-                continue;
+    /// Builds the graph of a set of obstacles `(polygon, tag)` and
+    /// waypoints `(position, tag)`; returns it with the waypoints' node
+    /// ids in input order.
+    pub fn build(
+        obstacles: impl IntoIterator<Item = (Polygon, u64)>,
+        waypoints: impl IntoIterator<Item = (Point, u64)>,
+    ) -> (Self, Vec<NodeId>) {
+        let mut g = VisibilityGraph::default();
+        // Register everything first (no edge computation yet).
+        for (poly, tag) in obstacles {
+            let obstacle = ObstacleId(g.obstacles.len() as u32);
+            for (vi, &v) in poly.vertices().iter().enumerate() {
+                let vertex = vi as u32;
+                g.push_raw_node(v, NodeKind::ObstacleVertex { obstacle, vertex });
             }
-            let pa = self.nodes[a].pos;
-            let removed: Vec<NodeId> = self.adj[a]
-                .iter()
-                .filter(|(b, _)| b.0 as usize > a)
-                .filter(|(b, _)| {
-                    let pb = self.nodes[b.0 as usize].pos;
-                    poly.blocks_segment(Segment::new(pa, pb))
-                })
-                .map(|(b, _)| *b)
-                .collect();
-            for b in removed {
-                self.remove_edge(NodeId(a as u32), b);
-            }
+            g.obstacles.push(ObstacleSlot { poly, tag });
         }
-
-        // 2. The newcomer may add boundary attachments (or interior
-        //    containment) to every existing classification.
-        let new_idx = self.obstacles.len();
-        for slot in &mut self.obstacles {
-            for (vi, class) in slot.vertex_class.iter_mut().enumerate() {
-                sweep::classify_incremental(class, new_idx, &poly, slot.poly.vertices()[vi]);
-            }
-        }
-        for node in &mut self.nodes {
-            if node.alive && matches!(node.kind, NodeKind::Waypoint { .. }) {
-                sweep::classify_incremental(&mut node.class, new_idx, &poly, node.pos);
-            }
-        }
-
-        // 3. Register the obstacle, its vertex classifications and nodes.
-        let ob_id = ObstacleId(new_idx as u32);
-        let scene: Vec<&Polygon> = self.obstacles.iter().map(|o| &o.poly).collect();
-        let vertex_class: Vec<PointClass> = poly
-            .vertices()
-            .iter()
-            .enumerate()
-            .map(|(vi, &v)| {
-                let mut c = sweep::classify(&scene, v);
-                sweep::classify_incremental(&mut c, new_idx, &poly, v);
-                debug_assert!(c
-                    .attachments
-                    .contains(&(new_idx, obstacle_geom::BoundaryAttachment::Vertex(vi))));
-                c
-            })
+        let waypoint_ids = waypoints
+            .into_iter()
+            .map(|(pos, tag)| g.push_raw_node(pos, NodeKind::Waypoint { tag }))
             .collect();
-        drop(scene);
-        let mut node_ids = Vec::with_capacity(poly.len());
-        for (vi, &v) in poly.vertices().iter().enumerate() {
-            let id = self.push_raw_node(
-                v,
-                NodeKind::ObstacleVertex {
-                    obstacle: ob_id,
-                    vertex: vi as u32,
-                },
-                PointClass::default(), // vertex classes live in the slot
-            );
-            node_ids.push(id);
+        // One visibility pass per node, adding each undirected edge once
+        // (from the lower-indexed endpoint).
+        for i in 0..g.nodes.len() {
+            for j in g.visible_nodes_from(NodeId(i as u32)) {
+                if j.0 as usize > i {
+                    g.insert_edge(NodeId(i as u32), j);
+                }
+            }
         }
-        self.obstacles.push(ObstacleSlot {
-            poly,
-            tag,
-            nodes: node_ids.clone(),
-            vertex_class,
-        });
-
-        // 4. Connect each new vertex to everything it can see (including
-        //    its polygon siblings — boundary edges are never blocked).
-        for &id in &node_ids {
-            self.connect_node(id);
-        }
-        ob_id
+        (g, waypoint_ids)
     }
 
     /// Adds a free waypoint (paper: *add_entity*) and connects it to every
     /// visible node. Returns its node id.
     pub fn add_waypoint(&mut self, pos: Point, tag: u64) -> NodeId {
-        let scene: Vec<&Polygon> = self.obstacles.iter().map(|o| &o.poly).collect();
-        let class = sweep::classify(&scene, pos);
-        drop(scene);
-        let id = self.push_raw_node(pos, NodeKind::Waypoint { tag }, class);
-        self.connect_node(id);
+        let id = self.push_raw_node(pos, NodeKind::Waypoint { tag });
+        for j in self.visible_nodes_from(id) {
+            self.insert_edge(id, j);
+        }
         id
     }
 
@@ -286,90 +176,11 @@ impl VisibilityGraph {
         self.nodes[id.0 as usize].alive = false;
     }
 
-    // -----------------------------------------------------------------
-    // Bulk construction
-    // -----------------------------------------------------------------
-
-    /// Builds a graph from a set of obstacles and waypoints
-    /// `(position, tag)` in one pass: one visibility computation per node
-    /// over the complete scene (classifications are computed once).
-    pub fn build(
-        builder: EdgeBuilder,
-        obstacles: impl IntoIterator<Item = (Polygon, u64)>,
-        waypoints: impl IntoIterator<Item = (Point, u64)>,
-    ) -> (Self, Vec<NodeId>) {
-        let mut g = VisibilityGraph::new(builder);
-        // Register everything first (no edge computation yet).
-        for (poly, tag) in obstacles {
-            let ob_id = ObstacleId(g.obstacles.len() as u32);
-            let mut node_ids = Vec::with_capacity(poly.len());
-            for (vi, &v) in poly.vertices().iter().enumerate() {
-                let id = g.push_raw_node(
-                    v,
-                    NodeKind::ObstacleVertex {
-                        obstacle: ob_id,
-                        vertex: vi as u32,
-                    },
-                    PointClass::default(),
-                );
-                node_ids.push(id);
-            }
-            g.obstacles.push(ObstacleSlot {
-                poly,
-                tag,
-                nodes: node_ids,
-                vertex_class: Vec::new(), // filled below
-            });
-        }
-        let mut waypoint_ids = Vec::new();
-        for (pos, tag) in waypoints {
-            waypoint_ids.push(g.push_raw_node(
-                pos,
-                NodeKind::Waypoint { tag },
-                PointClass::default(),
-            ));
-        }
-        // Classify every point once against the complete scene.
-        {
-            let polys: Vec<Polygon> = g.obstacles.iter().map(|o| o.poly.clone()).collect();
-            let scene: Vec<&Polygon> = polys.iter().collect();
-            for slot in &mut g.obstacles {
-                slot.vertex_class = slot
-                    .poly
-                    .vertices()
-                    .iter()
-                    .map(|&v| sweep::classify(&scene, v))
-                    .collect();
-            }
-            for node in &mut g.nodes {
-                if matches!(node.kind, NodeKind::Waypoint { .. }) {
-                    node.class = sweep::classify(&scene, node.pos);
-                }
-            }
-        }
-        // Compute edges: one visibility pass per node, adding each
-        // undirected edge once (from the lower-indexed endpoint).
-        for i in 0..g.nodes.len() {
-            let vis = g.visible_nodes_from(NodeId(i as u32));
-            for j in vis {
-                if j.0 as usize > i {
-                    g.insert_edge(NodeId(i as u32), j);
-                }
-            }
-        }
-        (g, waypoint_ids)
-    }
-
-    // -----------------------------------------------------------------
-    // Internals
-    // -----------------------------------------------------------------
-
-    fn push_raw_node(&mut self, pos: Point, kind: NodeKind, class: PointClass) -> NodeId {
+    fn push_raw_node(&mut self, pos: Point, kind: NodeKind) -> NodeId {
         self.nodes.push(NodeData {
             pos,
             kind,
             alive: true,
-            class,
         });
         self.adj.push(Vec::new());
         NodeId((self.nodes.len() - 1) as u32)
@@ -384,36 +195,8 @@ impl VisibilityGraph {
         self.adj[b.0 as usize].push((a, w));
     }
 
-    fn remove_edge(&mut self, a: NodeId, b: NodeId) {
-        for (x, y) in [(a, b), (b, a)] {
-            let v = &mut self.adj[x.0 as usize];
-            if let Some(i) = v.iter().position(|(n, _)| *n == y) {
-                v.swap_remove(i);
-            }
-        }
-    }
-
-    /// Connects `id` to all currently visible live nodes (idempotent:
-    /// edges already present — e.g. to sibling vertices connected when
-    /// *they* were processed — are not duplicated).
-    fn connect_node(&mut self, id: NodeId) {
-        let vis = self.visible_nodes_from(id);
-        for j in vis {
-            if j != id && !self.adj[id.0 as usize].iter().any(|(n, _)| *n == j) {
-                self.insert_edge(id, j);
-            }
-        }
-    }
-
-    /// Live nodes visible from `id`, per the configured builder.
+    /// Live nodes other than `id` visible from it.
     fn visible_nodes_from(&self, id: NodeId) -> Vec<NodeId> {
-        match self.builder {
-            EdgeBuilder::Naive => self.visible_nodes_naive(id),
-            EdgeBuilder::RotationalSweep => self.visible_nodes_sweep(id),
-        }
-    }
-
-    fn visible_nodes_naive(&self, id: NodeId) -> Vec<NodeId> {
         let p = self.nodes[id.0 as usize].pos;
         let mut out = Vec::new();
         for (j, nd) in self.nodes.iter().enumerate() {
@@ -435,72 +218,6 @@ impl VisibilityGraph {
         }
         let s = Segment::new(a, b);
         !self.obstacles.iter().any(|o| o.poly.blocks_segment(s))
-    }
-
-    fn visible_nodes_sweep(&self, id: NodeId) -> Vec<NodeId> {
-        let pivot_data = &self.nodes[id.0 as usize];
-        let pivot = pivot_data.pos;
-        let scene: Vec<&Polygon> = self.obstacles.iter().map(|o| &o.poly).collect();
-        let vertex_class: Vec<&[PointClass]> = self
-            .obstacles
-            .iter()
-            .map(|o| o.vertex_class.as_slice())
-            .collect();
-
-        let pivot_vertex = match pivot_data.kind {
-            NodeKind::ObstacleVertex { obstacle, vertex } => {
-                Some((obstacle.0 as usize, vertex as usize))
-            }
-            NodeKind::Waypoint { .. } => None,
-        };
-        let pivot_class: &PointClass = match pivot_data.kind {
-            NodeKind::ObstacleVertex { obstacle, vertex } => {
-                &self.obstacles[obstacle.0 as usize].vertex_class[vertex as usize]
-            }
-            NodeKind::Waypoint { .. } => &pivot_data.class,
-        };
-
-        let mut free_points: Vec<Point> = Vec::new();
-        let mut free_class: Vec<&PointClass> = Vec::new();
-        let mut free_ids: Vec<NodeId> = Vec::new();
-        for (j, nd) in self.nodes.iter().enumerate() {
-            if !nd.alive || j == id.0 as usize {
-                continue;
-            }
-            if let NodeKind::Waypoint { .. } = nd.kind {
-                free_points.push(nd.pos);
-                free_class.push(&nd.class);
-                free_ids.push(NodeId(j as u32));
-            }
-        }
-
-        let vis = sweep::visible_set_prepared(
-            &scene,
-            pivot,
-            pivot_class,
-            pivot_vertex,
-            &free_points,
-            &free_class,
-            &vertex_class,
-        );
-
-        let mut out = Vec::new();
-        for (si, slot) in self.obstacles.iter().enumerate() {
-            for (vi, &nid) in slot.nodes.iter().enumerate() {
-                if nid == id || !self.nodes[nid.0 as usize].alive {
-                    continue;
-                }
-                if vis.vertices[si][vi] {
-                    out.push(nid);
-                }
-            }
-        }
-        for (fi, &nid) in free_ids.iter().enumerate() {
-            if vis.free[fi] {
-                out.push(nid);
-            }
-        }
-        out
     }
 
     /// Exhaustive structural check (tests): adjacency symmetry, weights

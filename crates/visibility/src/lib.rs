@@ -7,21 +7,21 @@
 //!
 //! This crate provides:
 //!
-//! * [`VisibilityGraph`] — nodes are obstacle vertices plus free
-//!   *waypoints* (query points and entities); an edge connects two nodes
-//!   iff the segment between them crosses no obstacle interior. Supports
-//!   the paper's three dynamic operations (`add_obstacle`, `add_waypoint`
-//!   a.k.a. *add entity*, `remove_waypoint` a.k.a. *delete entity*)
-//!   without rebuilding from scratch (§4).
-//! * Two edge builders: a **naive** quadratic checker (the correctness
-//!   oracle) and the **rotational plane sweep** of Sharir & Schorr
-//!   \[SS84\] used by the paper, O(n log n) per node.
-//! * [`dijkstra`] — shortest-path computation on the graph \[D59\]: point
-//!   to point, bounded-radius expansion (for obstructed range queries) and
-//!   path reconstruction.
-//! * [`LazyScene`] — the **lazy** alternative for point-to-point queries:
-//!   no edges are ever materialized; A\* guided by the Euclidean lower
-//!   bound runs one rotational sweep per *settled* node, on demand.
+//! * [`LazyScene`] — what every query runs on. Nodes are obstacle
+//!   vertices plus free *waypoints* (query points and entities); no edge
+//!   is ever materialized: A\* guided by the Euclidean lower bound (or a
+//!   bounded Dijkstra expansion, for range queries) runs one **rotational
+//!   plane sweep** of Sharir & Schorr \[SS84\], O(n log n), per *settled*
+//!   node, on demand. Supports the paper's three dynamic operations
+//!   (`add_obstacle`, `add_waypoint` a.k.a. *add entity*,
+//!   `remove_waypoint` a.k.a. *delete entity*) without rebuilding (§4).
+//! * [`VisibilityGraph`] — the **naive oracle**: every edge materialized
+//!   by a pairwise `blocks_segment` test against every obstacle. It
+//!   shares no code with the sweep, and exists so tests can hold the
+//!   sweep to it.
+//! * [`dijkstra`] — shortest-path computation on the materialized graph
+//!   \[D59\]: point to point, bounded-radius expansion and path
+//!   reconstruction.
 //!
 //! Scenes are **storage-agnostic**: obstacles arrive as polygons, so the
 //! same scene (and every cached sweep) serves candidates selected by the
@@ -30,26 +30,30 @@
 //! set was found (the `backend_equivalence` suite in `obstacle-core`
 //! pins the two bit-identical).
 //!
-//! # Lazy vs. materialized
+//! # Production scene vs. naive oracle
 //!
 //! The two representations answer the same queries with the same results;
-//! they trade where the visibility work happens:
+//! only one of them is meant to be fast:
 //!
-//! * **[`VisibilityGraph`] (materialized)** pays O(n log n) per node *up
-//!   front* (plus an edge re-check per obstacle insertion) and then
-//!   answers any number of graph searches at pure Dijkstra cost. Right
-//!   for one-source-many-targets workloads — the OR range query's single
-//!   bounded expansion (Fig. 5), or repeated queries over a static local
-//!   graph.
-//! * **[`LazyScene`] (lazy)** registers obstacles with only O(n)
+//! * **[`LazyScene`] (production)** registers obstacles with only O(n)
 //!   classification bookkeeping and defers every visibility computation
-//!   until A\* actually pops the node. Settled nodes are confined to the
-//!   ellipse `|x−p| + |x−q| ≤ d_O(p, q)`, so long point-to-point paths
-//!   touch a corridor, not the scene — this is what makes
+//!   until a search actually pops the node. Settled nodes are confined to
+//!   the ellipse `|x−p| + |x−q| ≤ d_O(p, q)`, so long point-to-point
+//!   paths touch a corridor, not the scene — this is what makes
 //!   corner-to-corner shortest paths over 10⁴⁺ obstacles feasible (see
 //!   `obstacle_core::compute_obstructed_path`). Successor caches are
-//!   epoch-invalidated on obstacle insertion, so a growing scene re-pays
-//!   sweeps only for nodes it re-settles.
+//!   revalidated geometrically on obstacle insertion, so a growing scene
+//!   re-pays sweeps only for nodes it re-settles near the newcomer.
+//!   [`EdgeBuilder::Naive`] swaps the sweep for a pairwise scan — the
+//!   ablation arm, and the second opinion `LazyScene::validate` checks
+//!   every fresh successor list against.
+//! * **[`VisibilityGraph`] (oracle)** pays O(n·m) per node up front, for
+//!   a fixed obstacle set, and then answers any number of
+//!   [`dijkstra`] searches. `obstacle_core::brute` and the oracle suites
+//!   build it; `tests/sweep_vs_naive.rs` drives the sweep over
+//!   adversarial scenes (collinear corners, diagonals through touching
+//!   corners, waypoints on walls) and requires all-pairs distances equal
+//!   to this graph's.
 //!
 //! Visibility semantics: obstacle **interiors** block sight; boundaries do
 //! not. Paths may slide along obstacle edges and pass through touching
@@ -59,18 +63,22 @@
 //!
 //! ```
 //! use obstacle_geom::{Point, Polygon, Rect};
-//! use obstacle_visibility::{dijkstra_distance, EdgeBuilder, VisibilityGraph};
+//! use obstacle_visibility::{dijkstra_distance, EdgeBuilder, LazyScene, VisibilityGraph};
 //!
 //! // A square blocks the direct line between two waypoints.
 //! let square = Polygon::from_rect(Rect::from_coords(1.0, -1.0, 2.0, 1.0));
-//! let (graph, wps) = VisibilityGraph::build(
-//!     EdgeBuilder::RotationalSweep,
-//!     [(square, 0u64)],
-//!     [(Point::new(0.0, 0.0), 1), (Point::new(3.0, 0.0), 2)],
-//! );
-//! let d = dijkstra_distance(&graph, wps[0], wps[1]).unwrap();
+//! let (a, b) = (Point::new(0.0, 0.0), Point::new(3.0, 0.0));
+//!
+//! let mut scene = LazyScene::new(EdgeBuilder::RotationalSweep);
+//! scene.add_obstacle(square.clone(), 0);
+//! let (na, nb) = (scene.add_waypoint(a, 1), scene.add_waypoint(b, 2));
+//! let d = scene.astar_distance(na, nb).unwrap();
 //! assert!(d > 3.0); // forced around a corner: 2·√2 + 1 ≈ 3.83
 //! assert!((d - (2.0 * 2.0f64.sqrt() + 1.0)).abs() < 1e-9);
+//!
+//! // The naive oracle agrees.
+//! let (graph, wps) = VisibilityGraph::build([(square, 0u64)], [(a, 1), (b, 2)]);
+//! assert_eq!(dijkstra_distance(&graph, wps[0], wps[1]), Some(d));
 //! ```
 
 #![warn(missing_docs)]
@@ -80,10 +88,6 @@ pub mod dijkstra;
 mod graph;
 mod sweep;
 
-pub use astar::LazyScene;
+pub use astar::{EdgeBuilder, LazyScene};
 pub use dijkstra::{bounded_expansion, dijkstra_distance, shortest_path, PathResult};
-pub use graph::{EdgeBuilder, NodeId, NodeKind, ObstacleId, VisibilityGraph};
-pub use sweep::{
-    classify, classify_incremental, visible_set, visible_set_prepared, visible_set_windowed,
-    PointClass, VisibleSet, WindowedVisibility,
-};
+pub use graph::{NodeId, NodeKind, ObstacleId, VisibilityGraph};

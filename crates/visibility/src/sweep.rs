@@ -1,17 +1,19 @@
 //! Rotational plane-sweep visibility \[SS84\].
 //!
-//! Computes, for one *pivot* point, the set of visible points among all
-//! obstacle vertices and a set of free points, in O(n log n) for points in
-//! general position: the points are processed in angular order around the
-//! pivot while a *status* structure maintains the obstacle edges currently
-//! crossed by the sweep ray, ordered by crossing distance.
+//! [`visible_set_windowed`] computes, for one *pivot* point, which
+//! obstacle vertices of a window of the scene are visible, in O(n log n)
+//! for points in general position: the vertices are processed in angular
+//! order around the pivot while a *status* structure maintains the
+//! obstacle edges currently crossed by the sweep ray, ordered by crossing
+//! distance. It is the only sweep in the workspace: `LazyScene` calls it
+//! for every successor list, and `tests/sweep_vs_naive.rs` holds it to
+//! the naive `blocks_segment` oracle on adversarial scenes.
 //!
 //! Point *classifications* (strictly-inside flags and boundary
 //! attachments, the inputs of the interior-cone blocking tests) are
-//! independent of the pivot, so callers that sweep from many pivots over
-//! one scene — the visibility graph — compute them once via [`classify`]
-//! and pass them to [`visible_set_prepared`]. The convenience wrapper
-//! [`visible_set`] classifies internally.
+//! independent of the pivot, so the scene computes them once
+//! ([`classify`], [`classify_incremental`] as it grows) and every sweep
+//! borrows them.
 //!
 //! Correctness notes (matching [`Polygon::blocks_segment`] semantics —
 //! obstacle interiors block, boundaries do not):
@@ -33,17 +35,6 @@ use obstacle_geom::{
     angular_cmp, orient2d, pseudo_angle, BoundaryAttachment, Orientation, Point, PointLocation,
     Polygon,
 };
-
-/// Result of a sweep: visibility flags for every obstacle vertex (outer
-/// index = obstacle position in the input slice, inner = vertex index) and
-/// every free point.
-#[derive(Clone, Debug)]
-pub struct VisibleSet {
-    /// `vertices[o][v]` — whether vertex `v` of obstacle `o` is visible.
-    pub vertices: Vec<Vec<bool>>,
-    /// `free[i]` — whether free point `i` is visible.
-    pub free: Vec<bool>,
-}
 
 /// Pivot-independent classification of a point against a scene: whether
 /// it lies strictly inside some obstacle, and the boundary attachments
@@ -92,290 +83,12 @@ struct Edge {
     b: Point,
 }
 
-#[derive(Clone, Copy, Debug)]
-enum EventKind {
-    /// Vertex `vertex` of `obstacles[obstacle]`.
-    Vertex { obstacle: usize, vertex: usize },
-    /// Free point with index into `free_points`.
-    Free(usize),
-}
-
+/// One sweep event: vertex `vertex` of the `obstacle`-th active obstacle.
 #[derive(Clone, Copy, Debug)]
 struct Event {
     pos: Point,
-    kind: EventKind,
-}
-
-/// Whether a segment from a point with the given attachments towards
-/// `toward` immediately enters the interior of an attached obstacle.
-fn enters_interior(
-    obstacles: &[&Polygon],
-    attachments: &[(usize, BoundaryAttachment)],
-    toward: Point,
-) -> bool {
-    attachments
-        .iter()
-        .any(|&(oi, at)| obstacles[oi].enters_interior_at_boundary(at, toward))
-}
-
-/// Convenience wrapper around [`visible_set_prepared`] that classifies
-/// the pivot, every obstacle vertex and every free point on the fly.
-///
-/// `pivot_vertex`, when given as `(obstacle, vertex)`, marks the pivot as
-/// that obstacle vertex (its own event is skipped). Free points may lie
-/// anywhere, including on obstacle boundaries or inside obstacles. Points
-/// coincident with the pivot are reported visible (zero-length sight
-/// line).
-pub fn visible_set(
-    obstacles: &[&Polygon],
-    pivot: Point,
-    pivot_vertex: Option<(usize, usize)>,
-    free_points: &[Point],
-) -> VisibleSet {
-    let mut pivot_class = classify(obstacles, pivot);
-    if let Some((po, pv)) = pivot_vertex {
-        if !pivot_class
-            .attachments
-            .contains(&(po, BoundaryAttachment::Vertex(pv)))
-        {
-            pivot_class
-                .attachments
-                .push((po, BoundaryAttachment::Vertex(pv)));
-        }
-    }
-    let vertex_class: Vec<Vec<PointClass>> = obstacles
-        .iter()
-        .map(|poly| {
-            poly.vertices()
-                .iter()
-                .map(|&v| classify(obstacles, v))
-                .collect()
-        })
-        .collect();
-    let vertex_class_refs: Vec<&[PointClass]> = vertex_class.iter().map(|v| v.as_slice()).collect();
-    let free_class: Vec<PointClass> = free_points
-        .iter()
-        .map(|&p| classify(obstacles, p))
-        .collect();
-    let free_class_refs: Vec<&PointClass> = free_class.iter().collect();
-    visible_set_prepared(
-        obstacles,
-        pivot,
-        &pivot_class,
-        pivot_vertex,
-        free_points,
-        &free_class_refs,
-        &vertex_class_refs,
-    )
-}
-
-/// Computes the visible set from `pivot` using pre-computed point
-/// classifications (see [`classify`]): `vertex_class[o][v]` classifies
-/// vertex `v` of `obstacles[o]`, `free_class[i]` classifies
-/// `free_points[i]`.
-#[allow(clippy::too_many_arguments)]
-pub fn visible_set_prepared(
-    obstacles: &[&Polygon],
-    pivot: Point,
-    pivot_class: &PointClass,
-    pivot_vertex: Option<(usize, usize)>,
-    free_points: &[Point],
-    free_class: &[&PointClass],
-    vertex_class: &[&[PointClass]],
-) -> VisibleSet {
-    debug_assert_eq!(free_points.len(), free_class.len());
-    debug_assert_eq!(obstacles.len(), vertex_class.len());
-    let mut result = VisibleSet {
-        vertices: obstacles.iter().map(|p| vec![false; p.len()]).collect(),
-        free: vec![false; free_points.len()],
-    };
-
-    // ---- Events.
-    let mut events: Vec<Event> = Vec::new();
-    for (oi, poly) in obstacles.iter().enumerate() {
-        for (vi, &v) in poly.vertices().iter().enumerate() {
-            if Some((oi, vi)) == pivot_vertex {
-                continue; // the pivot itself
-            }
-            if v == pivot {
-                // Coincident with the pivot: visible by definition.
-                result.vertices[oi][vi] = true;
-                continue;
-            }
-            events.push(Event {
-                pos: v,
-                kind: EventKind::Vertex {
-                    obstacle: oi,
-                    vertex: vi,
-                },
-            });
-        }
-    }
-    for (fi, &p) in free_points.iter().enumerate() {
-        if p == pivot {
-            result.free[fi] = true;
-            continue;
-        }
-        events.push(Event {
-            pos: p,
-            kind: EventKind::Free(fi),
-        });
-    }
-    if events.is_empty() || pivot_class.inside {
-        // A pivot strictly inside an obstacle sees nothing (only
-        // coincident points, already marked).
-        return result;
-    }
-    events.sort_by(|x, y| angular_cmp(pivot, x.pos, y.pos));
-
-    let class_of = |kind: EventKind| -> &PointClass {
-        match kind {
-            EventKind::Vertex { obstacle, vertex } => &vertex_class[obstacle][vertex],
-            EventKind::Free(fi) => free_class[fi],
-        }
-    };
-
-    // ---- Edge table (skip edges incident to the pivot: they only touch
-    // sight lines at the pivot and cannot block; the pivot's interior
-    // cones handle blocking there).
-    let mut edges: Vec<Edge> = Vec::new();
-    let mut incident: Vec<Vec<Vec<usize>>> = obstacles
-        .iter()
-        .map(|p| vec![Vec::new(); p.len()])
-        .collect();
-    for (oi, poly) in obstacles.iter().enumerate() {
-        let n = poly.len();
-        for vi in 0..n {
-            let s = poly.edge(vi);
-            if s.a == pivot || s.b == pivot {
-                continue;
-            }
-            let idx = edges.len();
-            edges.push(Edge { a: s.a, b: s.b });
-            incident[oi][vi].push(idx);
-            incident[oi][(vi + 1) % n].push(idx);
-        }
-    }
-
-    // ---- Initial status: edges properly crossing the ray from the pivot
-    // in +x direction. The sidedness test against a horizontal line is
-    // exact (pure comparisons).
-    let mut status: Vec<usize> = Vec::new();
-    for (ei, e) in edges.iter().enumerate() {
-        let sa = e.a.y - pivot.y;
-        let sb = e.b.y - pivot.y;
-        if (sa > 0.0 && sb < 0.0) || (sa < 0.0 && sb > 0.0) {
-            let t = e.a.x + (pivot.y - e.a.y) * (e.b.x - e.a.x) / (e.b.y - e.a.y) - pivot.x;
-            if t > 0.0 {
-                status.push(ei);
-            }
-        }
-    }
-    let init_dir = Point::new(pivot.x + 1.0, pivot.y);
-    status.sort_by(|&x, &y| {
-        obstacle_geom::total_cmp(
-            ray_t(pivot, init_dir, &edges[x]),
-            ray_t(pivot, init_dir, &edges[y]),
-        )
-    });
-
-    // ---- Sweep.
-    let mut gi = 0usize;
-    while gi < events.len() {
-        // Group = maximal run of events on the same ray (near to far).
-        let mut gj = gi + 1;
-        while gj < events.len() && same_ray(pivot, events[gi].pos, events[gj].pos) {
-            gj += 1;
-        }
-        let group = &events[gi..gj];
-        let ray_target = group[0].pos; // defines the current ray direction
-
-        // Phase A: remove edges that end at this ray (their other endpoint
-        // lies clockwise of the ray).
-        for ev in group {
-            if let EventKind::Vertex { obstacle, vertex } = ev.kind {
-                for &ei in &incident[obstacle][vertex] {
-                    let other = other_endpoint(&edges[ei], ev.pos);
-                    if orient2d(pivot, ev.pos, other) == Orientation::Clockwise {
-                        if let Some(p) = status.iter().position(|&s| s == ei) {
-                            status.remove(p);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Phase B: visibility, near to far along the ray.
-        let mut chain_blocked = false;
-        let mut prev_pos = pivot;
-        let mut prev_visible = true;
-        let mut prev_attachments: &[(usize, BoundaryAttachment)] = &[];
-        for ev in group {
-            let dw = pivot.dist(ev.pos);
-            let class = class_of(ev.kind);
-            let visible;
-            if ev.pos == prev_pos {
-                // Coincident with the previous event point.
-                visible = prev_visible;
-            } else {
-                // Does the sight line continue into an interior at the
-                // previous event point?
-                if !chain_blocked && enters_interior(obstacles, prev_attachments, ev.pos) {
-                    chain_blocked = true;
-                }
-                let mut blocked = chain_blocked || class.inside;
-                // Closest properly-crossing edge on the ray.
-                if !blocked {
-                    if let Some(&front) = status.first() {
-                        let t = ray_t(pivot, ray_target, &edges[front]);
-                        if t < dw - 1e-9 * (1.0 + dw) {
-                            blocked = true;
-                        }
-                    }
-                }
-                // Interior cones at the pivot and at the target.
-                if !blocked && enters_interior(obstacles, &pivot_class.attachments, ev.pos) {
-                    blocked = true;
-                }
-                if !blocked && enters_interior(obstacles, &class.attachments, pivot) {
-                    blocked = true;
-                }
-                visible = !blocked;
-                if blocked {
-                    // Anything farther on this ray is blocked too: either
-                    // the blocker sits strictly between pivot and `ev`, or
-                    // the line enters an interior at/through `ev`.
-                    chain_blocked = true;
-                }
-                prev_pos = ev.pos;
-                prev_visible = visible;
-                prev_attachments = &class.attachments;
-            }
-            match ev.kind {
-                EventKind::Vertex { obstacle, vertex } => {
-                    result.vertices[obstacle][vertex] = visible;
-                }
-                EventKind::Free(fi) => result.free[fi] = visible,
-            }
-        }
-
-        // Phase C: insert edges that begin at this ray (other endpoint
-        // counter-clockwise of the ray).
-        for ev in group {
-            if let EventKind::Vertex { obstacle, vertex } = ev.kind {
-                for &ei in &incident[obstacle][vertex] {
-                    let other = other_endpoint(&edges[ei], ev.pos);
-                    if orient2d(pivot, ev.pos, other) == Orientation::CounterClockwise {
-                        insert_into_status(&mut status, &edges, pivot, ray_target, ei, ev.pos);
-                    }
-                }
-            }
-        }
-
-        gi = gj;
-    }
-
-    result
+    obstacle: usize,
+    vertex: usize,
 }
 
 /// Whether `a` and `b` lie on the same ray from `pivot` (same direction).
@@ -503,10 +216,8 @@ pub fn visible_set_windowed(
             }
             events.push(Event {
                 pos: v,
-                kind: EventKind::Vertex {
-                    obstacle: ai,
-                    vertex: vi,
-                },
+                obstacle: ai,
+                vertex: vi,
             });
         }
     }
@@ -537,7 +248,8 @@ pub fn visible_set_windowed(
     }
 
     // ---- Edge table from active obstacles (skip edges incident to the
-    // pivot, as in the full sweep).
+    // pivot: they only touch sight lines at the pivot and cannot block;
+    // the pivot's interior cones handle blocking there).
     let mut edges: Vec<Edge> = Vec::new();
     let mut incident: Vec<Vec<Vec<usize>>> = active
         .iter()
@@ -651,13 +363,11 @@ pub fn visible_set_windowed(
 
         // Phase A: remove edges ending at this ray.
         for ev in group {
-            if let EventKind::Vertex { obstacle, vertex } = ev.kind {
-                for &ei in &incident[obstacle][vertex] {
-                    let other = other_endpoint(&edges[ei], ev.pos);
-                    if orient2d(pivot, ev.pos, other) == Orientation::Clockwise {
-                        if let Some(p) = status.iter().position(|&s| s == ei) {
-                            status.remove(p);
-                        }
+            for &ei in &incident[ev.obstacle][ev.vertex] {
+                let other = other_endpoint(&edges[ei], ev.pos);
+                if orient2d(pivot, ev.pos, other) == Orientation::Clockwise {
+                    if let Some(p) = status.iter().position(|&s| s == ei) {
+                        status.remove(p);
                     }
                 }
             }
@@ -670,10 +380,7 @@ pub fn visible_set_windowed(
         let mut prev_attachments: &[(usize, BoundaryAttachment)] = &[];
         for ev in group {
             let dw = pivot.dist(ev.pos);
-            let EventKind::Vertex { obstacle, vertex } = ev.kind else {
-                unreachable!("windowed sweeps have no free events");
-            };
-            let class = &vertex_class[active[obstacle]][vertex];
+            let class = &vertex_class[active[ev.obstacle]][ev.vertex];
             let visible;
             if ev.pos == prev_pos {
                 visible = prev_visible;
@@ -704,17 +411,15 @@ pub fn visible_set_windowed(
                 prev_visible = visible;
                 prev_attachments = &class.attachments;
             }
-            result.vertices[obstacle][vertex] = visible;
+            result.vertices[ev.obstacle][ev.vertex] = visible;
         }
 
         // Phase C: insert edges beginning at this ray.
         for ev in group {
-            if let EventKind::Vertex { obstacle, vertex } = ev.kind {
-                for &ei in &incident[obstacle][vertex] {
-                    let other = other_endpoint(&edges[ei], ev.pos);
-                    if orient2d(pivot, ev.pos, other) == Orientation::CounterClockwise {
-                        insert_into_status(&mut status, &edges, pivot, ray_target, ei, ev.pos);
-                    }
+            for &ei in &incident[ev.obstacle][ev.vertex] {
+                let other = other_endpoint(&edges[ei], ev.pos);
+                if orient2d(pivot, ev.pos, other) == Orientation::CounterClockwise {
+                    insert_into_status(&mut status, &edges, pivot, ray_target, ei, ev.pos);
                 }
             }
         }

@@ -1,37 +1,76 @@
-//! The rotational plane sweep must produce exactly the same visibility
-//! graph as the naive oracle, including on adversarial configurations
-//! (collinear vertices, diagonals through corners, entities on walls).
+//! The rotational plane sweep production runs (`LazyScene` with
+//! `EdgeBuilder::RotationalSweep`, i.e. `visible_set_windowed` behind the
+//! successor caches) must see exactly what the naive oracle graph sees,
+//! including on adversarial configurations (collinear vertices, diagonals
+//! through corners, entities on walls).
 
 use obstacle_geom::check;
 use obstacle_geom::{Point, Polygon, Rect};
-use obstacle_visibility::{EdgeBuilder, VisibilityGraph};
+use obstacle_visibility::{bounded_expansion, EdgeBuilder, LazyScene, NodeId, VisibilityGraph};
 
-/// Builds both graphs over the same scene and asserts edge-set equality
-/// (via each graph's semantic validator plus direct comparison).
+/// Every node within reach of `from`, as sorted `(x bits, y bits,
+/// distance)` — node ids differ between the two structures.
+fn reach(nodes: Vec<(NodeId, f64)>, position: impl Fn(NodeId) -> Point) -> Vec<(u64, u64, f64)> {
+    let mut out: Vec<_> = nodes
+        .into_iter()
+        .map(|(n, d)| (position(n).x.to_bits(), position(n).y.to_bits(), d))
+        .collect();
+    out.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then(a.2.total_cmp(&b.2)));
+    out
+}
+
+/// Grows a sweep-driven scene one obstacle at a time under a standing set
+/// of waypoints (so classifications are maintained incrementally and
+/// successor caches are revalidated, as in production). After every
+/// insertion an unbounded expansion from every waypoint sweeps every
+/// reachable node; then each fresh successor list must equal naive
+/// visibility (`validate(true)`) and every distance — waypoint to
+/// waypoint and waypoint to vertex — must equal the naive graph's over
+/// the same obstacles.
 fn assert_equivalent(obstacles: &[Rect], waypoints: &[Point]) {
-    let obs = |_: ()| {
-        obstacles
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (Polygon::from_rect(*r), i as u64))
-    };
-    let wps = || waypoints.iter().enumerate().map(|(i, &p)| (p, i as u64));
-    let (naive, _) = VisibilityGraph::build(EdgeBuilder::Naive, obs(()), wps());
-    let (sweep, _) = VisibilityGraph::build(EdgeBuilder::RotationalSweep, obs(()), wps());
+    let polys: Vec<Polygon> = obstacles.iter().map(|r| Polygon::from_rect(*r)).collect();
+    let tagged = || waypoints.iter().copied().zip(0u64..);
+    let context = |n: usize| format!("obstacles: {:?}\nwaypoints: {waypoints:?}", &obstacles[..n]);
 
-    naive.validate(true).expect("naive graph is its own oracle");
-    sweep.validate(true).unwrap_or_else(|e| {
-        panic!(
-            "sweep disagrees with oracle: {e}\nobstacles: {obstacles:?}\nwaypoints: {waypoints:?}"
-        )
-    });
+    let mut scene = LazyScene::new(EdgeBuilder::RotationalSweep);
+    let ids: Vec<NodeId> = tagged()
+        .map(|(p, tag)| scene.add_waypoint(p, tag))
+        .collect();
+    for n in 0..=polys.len() {
+        if n > 0 {
+            scene.add_obstacle(polys[n - 1].clone(), n as u64 - 1);
+        }
+        let (naive, naive_ids) =
+            VisibilityGraph::build(polys[..n].iter().cloned().zip(0u64..), tagged());
+        naive.validate(true).expect("naive graph is its own oracle");
+        for (&from, &naive_from) in ids.iter().zip(&naive_ids) {
+            let swept = scene.bounded_expansion(from, f64::INFINITY, &ids);
+            let got = reach(swept, |n| scene.position(n));
+            let want = reach(bounded_expansion(&naive, naive_from, f64::INFINITY), |n| {
+                naive.position(n)
+            });
+            assert_eq!(got.len(), want.len(), "reach from {from:?}\n{}", context(n));
+            for (g, w) in got.iter().zip(&want) {
+                assert!(
+                    (g.0, g.1) == (w.0, w.1) && (g.2 - w.2).abs() <= 1e-9,
+                    "from {from:?}: {g:?} vs oracle {w:?}\n{}",
+                    context(n)
+                );
+            }
+        }
+        scene
+            .validate(true)
+            .unwrap_or_else(|e| panic!("sweep disagrees with oracle: {e}\n{}", context(n)));
+    }
 
-    assert_eq!(naive.node_count(), sweep.node_count());
-    assert_eq!(
-        naive.edge_count(),
-        sweep.edge_count(),
-        "edge counts differ\nobstacles: {obstacles:?}\nwaypoints: {waypoints:?}"
-    );
+    // Deleting every waypoint leaves a pure obstacle scene whose vertex
+    // caches still validate.
+    for id in ids {
+        scene.remove_waypoint(id);
+    }
+    scene
+        .validate(true)
+        .unwrap_or_else(|e| panic!("after waypoint removal: {e}\n{}", context(polys.len())));
 }
 
 /// Disjoint rectangles on a jittered grid: deterministic, parameterised by
@@ -195,44 +234,5 @@ fn sweep_equals_naive_on_random_scenes() {
         // Waypoints that fall strictly inside an obstacle are allowed but
         // make the check trivial (no edges either way).
         assert_equivalent(&rects, &wps);
-    });
-}
-
-#[test]
-fn dynamic_ops_match_bulk_build() {
-    check::cases(48, |g| {
-        let seed = g.u64(0, 10_000);
-        let keep = g.usize(1, 8);
-        let wps = g.vec(1, 5, |g| Point::new(g.f64(0.0, 1.0), g.f64(0.0, 1.0)));
-        let rects = grid_rects(seed, 3, keep);
-
-        // Incremental: add obstacles one by one, then waypoints one by one.
-        let mut inc = VisibilityGraph::new(EdgeBuilder::RotationalSweep);
-        for (i, r) in rects.iter().enumerate() {
-            inc.add_obstacle(Polygon::from_rect(*r), i as u64);
-        }
-        let mut ids = Vec::new();
-        for (i, &p) in wps.iter().enumerate() {
-            ids.push(inc.add_waypoint(p, i as u64));
-        }
-        assert!(inc.validate(true).is_ok(), "{:?}", inc.validate(true));
-
-        // Bulk build must agree on edge count.
-        let (bulk, _) = VisibilityGraph::build(
-            EdgeBuilder::RotationalSweep,
-            rects
-                .iter()
-                .enumerate()
-                .map(|(i, r)| (Polygon::from_rect(*r), i as u64)),
-            wps.iter().enumerate().map(|(i, &p)| (p, i as u64)),
-        );
-        assert_eq!(inc.edge_count(), bulk.edge_count());
-
-        // Deleting all waypoints leaves a pure obstacle graph that still
-        // validates semantically.
-        for id in ids {
-            inc.remove_waypoint(id);
-        }
-        assert!(inc.validate(true).is_ok());
     });
 }

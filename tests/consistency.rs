@@ -254,7 +254,7 @@ fn streaming_batches_match_collected_and_sequential_under_every_schedule() {
     // re-ordered equals `.collect()` equals the sequential loop, at
     // 1/2/4/8 threads × both schedules × all six operators. Scheduling
     // and streaming may change *when* a query runs — never its answer.
-    use obstacle_suite::queries::{Answer, Delivery, Query, Schedule, SemiJoinStrategy};
+    use obstacle_suite::queries::{Answer, Query, Schedule, SemiJoinStrategy};
     let w = world(11);
     let engine = QueryEngine::new(&w.entities, &w.obstacles);
 
@@ -307,18 +307,6 @@ fn streaming_batches_match_collected_and_sequential_under_every_schedule() {
                     "stream vs collected batch diverged at query {i}"
                 );
             }
-        }
-        // In-order delivery under the Hilbert schedule: the re-order
-        // buffer must emit exactly 0, 1, 2, … with unchanged answers.
-        let (in_order, _) = engine
-            .batch(&queries)
-            .threads(threads)
-            .schedule(Schedule::Hilbert)
-            .delivery(Delivery::InputOrder)
-            .stream(|stream| stream.collect::<Vec<(usize, Answer)>>());
-        for (i, (idx, a)) in in_order.iter().enumerate() {
-            assert_eq!(i, *idx, "in-order delivery broke at {threads} threads");
-            assert!(a.same_results(&sequential[i]));
         }
     }
 }
