@@ -21,7 +21,7 @@
 #   benchmark the repo benchmark (BENCHMARK.json, benchmark/) must keep
 #           compiling against the public API and answering correctly:
 #           its own fmt/clippy/unit-test check, then a short untraced run
-#           of a batch workload and of the service workload, each of
+#           of both batch workloads and of the service workload, each of
 #           which must end with "correct": true (release; numbers from
 #           these short runs are not performance claims)
 #   analyze in-tree static analysis: obstacle_lint must report the
@@ -130,6 +130,11 @@ stage_benchmark() {
   # needs >= 4 of its 0.4 s edit batches inside the open-loop 70 % of
   # the run, which 2 s does not hold.
   benchmark_run scattered 2
+  # clustered is the workload PR 16's gain is claimed on, and its in-run
+  # checks (every 16th resident-scene answer re-executed on a fresh
+  # scene, scene reuse >= 0.9) are the direct guard on successor lists
+  # bounded by one query's reach, cached, and resumed by the next.
+  benchmark_run clustered 2
   benchmark_run service_churn 5
 }
 

@@ -163,6 +163,30 @@ mod tests {
         assert!((d0 - expect).abs() < 1e-9, "{d0} vs {expect}");
     }
 
+    /// `e` is caller input and, as the expansion's radius, becomes the
+    /// sweep budget `e − d` of every settled node: the edge values must
+    /// terminate with the answers they always had.
+    #[test]
+    fn edge_radii_through_execute() {
+        use crate::{Answer, Query};
+        let (entities, obstacles) = scene();
+        let engine = QueryEngine::new(&entities, &obstacles);
+        let hits = |q: Point, e: f64| match engine.execute(&Query::Range { q, e }) {
+            Answer::Range(r) => r.hits,
+            other => panic!("range query answered {other:?}"),
+        };
+        let origin = Point::new(0.0, 0.0);
+        assert!(hits(origin, f64::NAN).is_empty());
+        assert!(hits(origin, -1.0).is_empty());
+        assert!(hits(origin, 0.0).is_empty());
+        // e = 0 still finds an entity standing on the query point.
+        assert_eq!(hits(Point::new(-1.0, 0.0), 0.0), vec![(2, 0.0)]);
+        // e = +inf is the unbounded expansion: everything reachable.
+        let all = hits(origin, f64::INFINITY);
+        assert_eq!(all, hits(origin, 1e9));
+        assert_eq!(all.len(), 3);
+    }
+
     #[test]
     fn empty_range_yields_nothing() {
         let (entities, obstacles) = scene();

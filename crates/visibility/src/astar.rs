@@ -17,7 +17,7 @@
 //! major axis `d_O(p, q)` — so the number of sweeps is proportional to the
 //! corridor the path actually explores, not to the scene.
 //!
-//! Two further refinements keep each sweep *local*:
+//! Three further refinements keep each sweep *local*:
 //!
 //! * sweeps are **windowed and wedge-refined**: a base sweep covers only
 //!   the obstacles within a few mean obstacle diameters of the pivot and
@@ -31,7 +31,16 @@
 //!   when the scene grows: a list survives unless a new obstacle entered
 //!   its base window or a refined horizon arc. Repeated searches — the
 //!   fixpoint iterations of Fig. 8, or consecutive candidates of an ONN
-//!   query — therefore pay each sweep once.
+//!   query — therefore pay each sweep once;
+//! * successor generation has a **reach**, which is what makes the other
+//!   two local: a list is certified only as far as the search can still
+//!   use (the paper's "a path of length ≤ `e` never leaves the disk of
+//!   radius `e`", applied to edges and not just to which obstacles are
+//!   registered). The base window shrinks to the reach, arcs certified
+//!   that far stay *pending*, and a later search that needs more resumes
+//!   exactly those. A sweep's cost follows the remaining budget
+//!   ([`LazyScene::bounded_expansion`]) or heuristic distance
+//!   ([`LazyScene::astar`]), not the extent of a resident scene.
 
 use crate::dijkstra::PathResult;
 use crate::graph::{NodeId, NodeKind, ObstacleId};
@@ -68,6 +77,32 @@ fn pos_key(p: Point) -> (u64, u64) {
 /// search loops.
 type Frontier = BinaryHeap<Reverse<(OrdF64, (u64, u64), u32)>>;
 
+/// Frontier tag of an A\* *continuation* entry (see
+/// [`LazyScene::astar`]). Node ids share the frontier's `u32` with it,
+/// so a scene holds fewer than `CONTINUATION` node slots.
+const CONTINUATION: u32 = 1 << 31;
+
+/// A scene has no id for the node slot asked for (the field): it would
+/// collide with the frontier's continuation tag, or not fit a `u32`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SceneFull(pub usize);
+
+impl std::fmt::Display for SceneFull {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "scene full: node slot {} is past the last id", self.0)
+    }
+}
+
+impl std::error::Error for SceneFull {}
+
+/// The id of node slot `slot`, or [`SceneFull`] beyond the untagged range.
+fn node_id(slot: usize) -> Result<NodeId, SceneFull> {
+    match u32::try_from(slot) {
+        Ok(id) if id & CONTINUATION == 0 => Ok(NodeId(id)),
+        _ => Err(SceneFull(slot)),
+    }
+}
+
 #[derive(Clone, Debug)]
 struct LazyNode {
     pos: Point,
@@ -79,11 +114,14 @@ struct LazyNode {
     class: PointClass,
 }
 
-/// Trust metadata for one horizon arc of a cached successor list:
-/// within the CCW arc `(a0, a1)` (pseudo-angle units) the node's
-/// visibility was certified out to distance `r`; `open` marks arcs that
-/// were accepted because no scene obstacle lay beyond (so *any* new
-/// obstacle there invalidates the cache).
+/// Trust metadata for one horizon arc the base sweep left open: within
+/// the CCW arc `(a0, a1)` (pseudo-angle units) refinement has looked at
+/// most `r` far, so an obstacle added nearer than that invalidates the
+/// list. Beyond `r`, each part of the arc is either *closed* (a wedge
+/// sweep certified a blocking edge: nothing farther is visible, whatever
+/// is added), *pending* (refinement stopped at the reach asked for: the
+/// list claims nothing farther), or faces no scene obstacle at all — then
+/// the arc is `open`, and *any* new obstacle in it invalidates the list.
 #[derive(Clone, Copy, Debug)]
 struct ArcTrust {
     a0: f64,
@@ -92,33 +130,65 @@ struct ArcTrust {
     open: bool,
 }
 
-/// Cached successor list of one node: the obstacle vertices visible from
-/// it, with Euclidean edge weights.
-#[derive(Clone, Debug)]
+/// One unit of wedge refinement: the CCW arc `(a0, a1)` (never wrapping
+/// past the +x axis, so the ranged sweep can use plain angular order),
+/// certified but not closed out to `r`, part of horizon arc `root`.
+type WedgeItem = (f64, f64, f64, usize);
+
+/// Queues the arc `(a0, a1)` for refinement, split at the +x axis if it
+/// wraps. A zero-width arc (collapsed by clamping) has nothing to refine;
+/// full-circle arcs arrive normalized to `(0, 4)`.
+fn push_split(work: &mut Vec<WedgeItem>, a0: f64, a1: f64, r: f64, root: usize) {
+    if a0 < a1 {
+        work.push((a0, a1, r, root));
+    } else if a0 > a1 {
+        work.push((a0, 4.0, r, root));
+        work.push((0.0, a1, r, root));
+    }
+}
+
+/// The open arcs of a sweep (one per pair of consecutive event rays)
+/// with runs of adjacent ones joined: one wedge, one sweep, instead of
+/// one per ray. All of them open joins up to the full circle `(a, a)`.
+fn joined(open: &[(f64, f64)]) -> Vec<(f64, f64)> {
+    let mut arcs: Vec<(f64, f64)> = Vec::with_capacity(open.len());
+    for &(a0, a1) in open {
+        match arcs.last_mut() {
+            Some(last) if last.1 == a0 && last.0 != last.1 => last.1 = a1,
+            _ => arcs.push((a0, a1)),
+        }
+    }
+    arcs
+}
+
+/// Cached successor list of one node: obstacle vertices visible from it,
+/// with Euclidean edge weights; *complete* out to [`CacheSlot::reach`].
+#[derive(Clone, Debug, Default)]
 struct CacheSlot {
-    /// Obstacle count of the scene when the list was computed
-    /// (`usize::MAX` = never). A list computed against fewer obstacles
-    /// can survive scene growth: it stays valid as long as no later
-    /// obstacle enters the base window or a refined horizon arc.
-    n_obs: usize,
-    /// Base window radius the successors were certified under in every
-    /// direction; `f64::INFINITY` = a full-scene sweep (no window).
+    /// Obstacle count of the scene the list was last valid for (`None` =
+    /// never computed). A list computed against fewer obstacles can
+    /// survive scene growth: it stays valid as long as no later obstacle
+    /// enters the base window or a refined horizon arc.
+    n_obs: Option<usize>,
+    /// Base window radius, certified in every direction: a few mean
+    /// diagonals or the reach first asked for; `f64::INFINITY` = the
+    /// window held the whole scene.
     radius: f64,
-    /// Refined horizon arcs beyond the base radius.
+    /// The horizon arcs the base sweep left open, as refined so far.
     arcs: Vec<ArcTrust>,
+    /// Wedge refinements not done because their arc was already certified
+    /// to the reach asked for; a search that needs more resumes them.
+    pending: Vec<WedgeItem>,
     succ: Vec<(NodeId, f64)>,
 }
 
-const NEVER: usize = usize::MAX;
-
-impl Default for CacheSlot {
-    fn default() -> Self {
-        CacheSlot {
-            n_obs: NEVER,
-            radius: 0.0,
-            arcs: Vec::new(),
-            succ: Vec::new(),
-        }
+impl CacheSlot {
+    /// What the list certifies: every scene vertex visible from the node
+    /// within this distance is in `succ`.
+    fn reach(&self) -> f64 {
+        self.pending
+            .iter()
+            .fold(f64::INFINITY, |r, item| r.min(item.2))
     }
 }
 
@@ -194,6 +264,9 @@ pub struct LazyScene {
     /// Node ids of each obstacle's vertices, in polygon order.
     vertex_nodes: Vec<Vec<NodeId>>,
     nodes: Vec<LazyNode>,
+    /// Number of `nodes` that are alive.
+    live: usize,
+    /// Successor list per node slot (parallel to `nodes`).
     cache: Vec<CacheSlot>,
     sweeps: usize,
     /// Packed bbox-tree over obstacle MBRs: window and wedge candidate
@@ -217,7 +290,7 @@ impl LazyScene {
 
     /// Number of live nodes (obstacle vertices plus live waypoints).
     pub fn node_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.alive).count()
+        self.live
     }
 
     /// Total node slots ever allocated, dead waypoints included. Search
@@ -259,8 +332,12 @@ impl LazyScene {
     }
 
     /// Registers an obstacle. O(|scene|) classification bookkeeping, no
-    /// edge computation.
+    /// edge computation. Panics with [`SceneFull`]'s message, before
+    /// changing anything, if its vertices do not fit the node-id range.
     pub fn add_obstacle(&mut self, poly: Polygon, tag: u64) -> ObstacleId {
+        if let Err(full) = node_id((self.nodes.len() + poly.len()).saturating_sub(1)) {
+            panic!("{full}");
+        }
         let new_idx = self.polys.len();
 
         // The newcomer may add boundary attachments (or interior
@@ -313,6 +390,7 @@ impl LazyScene {
 
     /// Adds a free waypoint (query point or entity) and returns its node
     /// id. O(|scene|) for the classification; no edges are computed.
+    /// Panics with [`SceneFull`]'s message if the scene is full.
     pub fn add_waypoint(&mut self, pos: Point, tag: u64) -> NodeId {
         let scene: Vec<&Polygon> = self.polys.iter().collect();
         let class = sweep::classify(&scene, pos);
@@ -329,6 +407,7 @@ impl LazyScene {
             matches!(node.kind, NodeKind::Waypoint { .. }),
             "remove_waypoint on an obstacle vertex"
         );
+        self.live -= usize::from(node.alive);
         node.alive = false;
         self.cache[id.0 as usize] = CacheSlot::default();
     }
@@ -372,6 +451,18 @@ impl LazyScene {
     /// the scene's free space does, and adding obstacles only removes
     /// free space. Callers growing a scene to the Fig. 8 fixpoint may
     /// therefore stop at the first failed search.
+    ///
+    /// The search is *partial-expansion* A\*. A popped node `u` is
+    /// expanded only to a reach `ρ` a little past `h(u)`; while its list
+    /// is incomplete it re-enters the frontier as a *continuation*, keyed
+    /// by a lower bound on the `f` of every successor not generated yet:
+    /// such a `v` has `|uv| > ρ` and `h(v) ≥ |uv| − h(u)`, so `f(v) ≥
+    /// g(u) + max(h(u), 2ρ − h(u))`. A continuation that pops doubles its
+    /// node's reach; most never do, because the target closes first. The
+    /// bound is strict (rounded down), so nodes close in exactly the
+    /// order full expansion closes them; only the order their edges are
+    /// *generated* in differs, so an equal-length tie goes to the
+    /// predecessor that closed first — the one full expansion keeps.
     pub fn astar(&mut self, from: NodeId, to: NodeId) -> Option<PathResult> {
         let fp = self.nodes[from.0 as usize].pos;
         let tp = self.nodes[to.0 as usize].pos;
@@ -384,60 +475,95 @@ impl LazyScene {
 
         // Edges *into* the target. Vertex successor lists only contain
         // obstacle vertices, so a waypoint target needs its own (cached)
-        // sweep: visibility is symmetric, so the set of nodes that see
-        // `to` is the set `to` sees. A vertex target is already covered.
+        // sweep: visibility is symmetric, so the nodes that see `to` are
+        // those `to` sees — out to the farthest `h(u)` asked about so
+        // far. A vertex target is already covered.
         let n = self.nodes.len();
+        let ti = to.0 as usize;
+        let target_is_waypoint = matches!(self.nodes[ti].kind, NodeKind::Waypoint { .. });
         let mut to_target = vec![false; n];
-        if matches!(self.nodes[to.0 as usize].kind, NodeKind::Waypoint { .. }) {
-            self.ensure_successors(to);
-            for &(v, _) in &self.cache[to.0 as usize].succ {
-                to_target[v.0 as usize] = true;
-            }
-            if matches!(self.nodes[from.0 as usize].kind, NodeKind::Waypoint { .. }) {
-                // Waypoint-to-waypoint: the one edge no sweep reports.
-                to_target[from.0 as usize] = self.visible_indexed(fp, tp);
-            }
+        let mut target_reach = f64::NEG_INFINITY;
+        if target_is_waypoint
+            && matches!(self.nodes[from.0 as usize].kind, NodeKind::Waypoint { .. })
+        {
+            // Waypoint-to-waypoint: the one edge no sweep reports.
+            to_target[from.0 as usize] = self.visible_indexed(fp, tp);
         }
+        let min_reach = 2.0 * self.mean_diag();
 
         let mut g = vec![f64::INFINITY; n];
         let mut pred = vec![u32::MAX; n];
-        let mut closed = vec![false; n];
+        // Position in the closing order (`u32::MAX` = still open).
+        let mut closed_at = vec![u32::MAX; n];
+        let mut closings = 0u32;
         let mut heap: Frontier = BinaryHeap::new();
         g[from.0 as usize] = 0.0;
+        pred[from.0 as usize] = from.0; // closes first: no tie replaces it
         heap.push(Reverse((OrdF64(fp.dist(tp)), pos_key(fp), from.0)));
 
-        while let Some(Reverse((_, _, u))) = heap.pop() {
-            if closed[u as usize] {
-                continue; // stale frontier entry
+        while let Some(Reverse((_, _, entry))) = heap.pop() {
+            let u = entry & !CONTINUATION;
+            let ui = u as usize;
+            let resumed = entry != u;
+            if !resumed {
+                if closed_at[ui] != u32::MAX {
+                    continue; // stale frontier entry
+                }
+                closed_at[ui] = closings;
+                closings += 1;
+                if u == to.0 {
+                    break;
+                }
             }
-            closed[u as usize] = true;
-            if u == to.0 {
-                break;
+            let up = self.nodes[ui].pos;
+            let h = up.dist(tp);
+            if target_is_waypoint && target_reach < h {
+                self.ensure_successors(to, h);
+                for &(v, _) in &self.cache[ti].succ {
+                    to_target[v.0 as usize] = true;
+                }
+                target_reach = self.cache[ti].reach();
             }
-            self.ensure_successors(NodeId(u));
-            let gu = g[u as usize];
-            for &(v, w) in &self.cache[u as usize].succ {
-                let vi = v.0 as usize;
-                let nd = gu + w;
+            // A little past h(u): at h(u) exactly the continuation's bound
+            // would be f(u) itself, and it would pop at once.
+            let reach = if resumed {
+                2.0 * self.cache[ui].reach()
+            } else {
+                (1.1 * h).max(min_reach)
+            };
+            self.ensure_successors(NodeId(u), reach);
+
+            let gu = g[ui];
+            let nodes = &self.nodes;
+            let mut relax = |v: u32, nd: f64, key: f64| {
+                let vi = v as usize;
                 if nd < g[vi] {
                     g[vi] = nd;
                     pred[vi] = u;
-                    let vp = self.nodes[vi].pos;
-                    heap.push(Reverse((OrdF64(nd + vp.dist(tp)), pos_key(vp), v.0)));
+                    heap.push(Reverse((OrdF64(key), pos_key(nodes[vi].pos), v)));
+                } else if nd == g[vi] && closed_at[ui] < closed_at[pred[vi] as usize] {
+                    pred[vi] = u; // generated late, closed first
                 }
+            };
+            for &(v, w) in &self.cache[ui].succ {
+                let nd = gu + w;
+                relax(v.0, nd, nd + nodes[v.0 as usize].pos.dist(tp));
             }
-            if to_target[u as usize] {
-                let nd = gu + self.nodes[u as usize].pos.dist(tp);
-                let ti = to.0 as usize;
-                if nd < g[ti] {
-                    g[ti] = nd;
-                    pred[ti] = u;
-                    heap.push(Reverse((OrdF64(nd), pos_key(tp), to.0)));
-                }
+            if to_target[ui] {
+                let nd = gu + h;
+                relax(to.0, nd, nd);
+            }
+
+            let rho = self.cache[ui].reach();
+            if rho.is_finite() {
+                // Rounded down: the key must not exceed any computed
+                // `f(v)` it stands in for.
+                let bound = (gu + h.max(2.0 * rho - h)) * (1.0 - 1e-12);
+                heap.push(Reverse((OrdF64(bound), pos_key(up), u | CONTINUATION)));
             }
         }
 
-        if g[to.0 as usize].is_infinite() {
+        if g[ti].is_infinite() {
             return None;
         }
         let mut points = vec![tp];
@@ -449,7 +575,7 @@ impl LazyScene {
         }
         points.reverse();
         Some(PathResult {
-            distance: g[to.0 as usize],
+            distance: g[ti],
             points,
         })
     }
@@ -477,12 +603,24 @@ impl LazyScene {
     /// symmetric, hence the set of nodes a target sees is the set that
     /// sees it. Shortest obstructed paths only turn at obstacle vertices,
     /// so targets never need to relay to each other.
+    ///
+    /// Every sweep is bounded by what the expansion can still use: a node
+    /// settled at `d` generates successors out to its remaining budget
+    /// `radius − d` (a longer edge fails `d + w ≤ radius`), a target out
+    /// to `radius`. A NaN or negative `radius` holds only the source;
+    /// `+∞` is the unbounded expansion.
     pub fn bounded_expansion(
         &mut self,
         from: NodeId,
         radius: f64,
         targets: &[NodeId],
     ) -> Vec<(NodeId, f64)> {
+        if radius.is_nan() || radius < 0.0 {
+            return vec![(from, 0.0)];
+        }
+        // `d + w ≤ radius` is tested on rounded sums: pad the budget so it
+        // covers every `w` that passes.
+        let slack = 4.0 * f64::EPSILON * radius;
         let fp = self.nodes[from.0 as usize].pos;
         let n = self.nodes.len();
         // Incoming edges into each waypoint target, keyed by source node.
@@ -492,7 +630,7 @@ impl LazyScene {
                 continue; // vertex targets are reached by normal expansion
             }
             let tp = self.nodes[t.0 as usize].pos;
-            self.ensure_successors(t);
+            self.ensure_successors(t, radius);
             for &(v, w) in &self.cache[t.0 as usize].succ {
                 into[v.0 as usize].push((t.0, w));
             }
@@ -519,7 +657,7 @@ impl LazyScene {
             let relays =
                 u == from.0 || !matches!(self.nodes[u as usize].kind, NodeKind::Waypoint { .. });
             if relays {
-                self.ensure_successors(NodeId(u));
+                self.ensure_successors(NodeId(u), radius - d + slack);
                 for &(v, w) in &self.cache[u as usize].succ {
                     let nd = d + w;
                     if nd <= radius && nd < dist[v.0 as usize] {
@@ -552,66 +690,63 @@ impl LazyScene {
     // -----------------------------------------------------------------
 
     fn push_raw_node(&mut self, pos: Point, kind: NodeKind, class: PointClass) -> NodeId {
+        let id = node_id(self.nodes.len()).unwrap_or_else(|full| panic!("{full}"));
         self.nodes.push(LazyNode {
             pos,
             kind,
             alive: true,
             class,
         });
+        self.live += 1;
         self.cache.push(CacheSlot::default());
-        NodeId((self.nodes.len() - 1) as u32)
+        id
     }
 
-    /// Fills (or refreshes) the successor cache of `id`.
+    /// Makes the successor cache of `id` complete out to `reach`: on
+    /// return every scene vertex visible from `id` within `reach` is in
+    /// its list (which may hold farther ones too).
     ///
-    /// A stale cache (computed against fewer obstacles) is revalidated
-    /// geometrically before any sweep: it survives if no obstacle added
-    /// since entered the node's base window (it could block or extend a
-    /// trusted edge) nor any refined horizon arc (it could host a newly
-    /// visible far vertex). Otherwise the successors are recomputed via
-    /// `windowed_successors`.
-    fn ensure_successors(&mut self, id: NodeId) {
+    /// A cache that is not `cache_usable` starts afresh from `base_sweep`;
+    /// a valid one certified short of `reach` is extended by `refine`: the
+    /// base window and every closed arc are not swept again.
+    fn ensure_successors(&mut self, id: NodeId, reach: f64) {
         let i = id.0 as usize;
-        let n = self.polys.len();
-        let slot = &self.cache[i];
-        if slot.n_obs == n {
-            return;
-        }
-        if slot.n_obs != NEVER && self.cache_still_valid(i) {
-            self.cache[i].n_obs = n;
-            return;
-        }
-        let slot = match self.builder {
-            EdgeBuilder::Naive => {
-                self.sweeps += 1;
-                CacheSlot {
-                    n_obs: n,
-                    radius: f64::INFINITY,
-                    arcs: Vec::new(),
-                    succ: self.visible_vertices_naive(id),
+        if !self.cache_usable(i) {
+            self.cache[i] = match self.builder {
+                EdgeBuilder::Naive => {
+                    self.sweeps += 1;
+                    CacheSlot {
+                        radius: f64::INFINITY,
+                        succ: self.visible_vertices_naive(id),
+                        ..CacheSlot::default()
+                    }
                 }
-            }
-            EdgeBuilder::RotationalSweep => self.windowed_successors(id),
-        };
-        self.cache[i] = slot;
+                EdgeBuilder::RotationalSweep => self.base_sweep(id, reach),
+            };
+        }
+        self.cache[i].n_obs = Some(self.polys.len());
+        if self.cache[i].reach() < reach {
+            self.refine(id, reach);
+        }
     }
 
-    /// Whether the cached (stale-epoch) successor list of node `i` is
-    /// unaffected by the obstacles added after it was computed.
-    fn cache_still_valid(&self, i: usize) -> bool {
+    /// Whether the successor list of node `i` can be used as it stands:
+    /// computed, and no obstacle added since entered the node's base
+    /// window (it could block or extend a trusted edge) or, inside a
+    /// horizon arc, came nearer than the arc was refined to (it could
+    /// host a newly visible far vertex). A pending arc claims nothing
+    /// beyond its `r` (at most its root's), so like a closed one it only
+    /// minds nearer newcomers; `refine` sees the rest when it resumes.
+    fn cache_usable(&self, i: usize) -> bool {
         let slot = &self.cache[i];
-        if !slot.radius.is_finite() {
-            // Full-scene (or naive) snapshot: any growth invalidates.
+        let Some(since) = slot.n_obs else {
             return false;
-        }
+        };
         let pos = self.nodes[i].pos;
         let pad = slot.radius * (1.0 + 1e-12);
-        self.rects[slot.n_obs..].iter().all(|rect| {
+        self.rects[since..].iter().all(|rect| {
             if rect.mindist_point(pos) <= pad {
-                return false; // entered the base window
-            }
-            if slot.arcs.is_empty() {
-                return true; // horizon closed at the base radius
+                return false; // entered the base window (always, if infinite)
             }
             let span = rect_span(pos, rect);
             slot.arcs.iter().all(|arc| {
@@ -624,107 +759,107 @@ impl LazyScene {
         })
     }
 
-    /// Base-plus-wedges successor computation (see `ensure_successors`
-    /// and the module docs).
-    ///
-    /// One rotational sweep over the obstacles within a small base
-    /// radius gives the near successors and the open horizon arcs. Each
-    /// open arc is then *refined independently*: sight lines from the
-    /// pivot are radial, so a wedge's visibility only depends on the
-    /// obstacles inside the wedge — the arc is re-swept (range-restricted)
-    /// at doubling radius over just those obstacles until it closes or
-    /// provably faces no farther scene obstacle. Street canyons thus cost
-    /// a few thin wedge sweeps instead of inflating the whole disk.
-    fn windowed_successors(&mut self, id: NodeId) -> CacheSlot {
-        let i = id.0 as usize;
-        let n = self.polys.len();
-        let pos = self.nodes[i].pos;
-        if n == 0 {
-            return CacheSlot {
-                n_obs: 0,
-                radius: f64::INFINITY,
-                arcs: Vec::new(),
-                succ: Vec::new(),
-            };
-        }
-        self.ensure_grid();
-        let pivot_vertex = match self.nodes[i].kind {
+    /// One [`sweep::visible_set_windowed`] from `id` over `active`.
+    fn sweep(
+        &mut self,
+        id: NodeId,
+        active: &[usize],
+        radius: f64,
+        range: Option<(f64, f64)>,
+    ) -> sweep::WindowedVisibility {
+        self.sweeps += 1;
+        let node = &self.nodes[id.0 as usize];
+        let pivot_vertex = match node.kind {
             NodeKind::ObstacleVertex { obstacle, vertex } => {
                 Some((obstacle.0 as usize, vertex as usize))
             }
             NodeKind::Waypoint { .. } => None,
         };
-        let mean_diag = self.mean_diag();
-        let extent = self.grid.bounds.maxdist_point(pos);
+        sweep::visible_set_windowed(
+            &self.polys,
+            &self.vertex_class,
+            active,
+            node.pos,
+            self.pivot_class(id),
+            pivot_vertex,
+            radius,
+            range,
+        )
+    }
 
-        // ---- Base disk: grow only until it contains some obstacle.
-        let mut r = (6.0 * mean_diag).min(extent).max(1e-12);
-        let mut active: Vec<usize>;
-        loop {
-            active = self.grid.query_disk(&self.rects, pos, r);
-            if !active.is_empty() || r >= extent {
-                break;
-            }
+    /// A fresh successor list from one sweep over the base window: the
+    /// obstacles within a few mean diagonals of the node, or within
+    /// `reach` if that is nearer. Near successors are final; the horizon
+    /// arcs the window could not close are left pending for `refine`.
+    fn base_sweep(&mut self, id: NodeId, reach: f64) -> CacheSlot {
+        let n = self.polys.len();
+        let pos = self.nodes[id.0 as usize].pos;
+        let mut slot = CacheSlot {
+            radius: f64::INFINITY,
+            ..CacheSlot::default()
+        };
+        if n == 0 {
+            return slot;
+        }
+        self.ensure_grid();
+        let horizon = self.grid.bounds.maxdist_point(pos).min(reach);
+
+        // Grow the disk only until it contains some obstacle.
+        let mut r = (6.0 * self.mean_diag()).min(horizon).max(1e-12);
+        let mut active = self.grid.query_disk(&self.rects, pos, r);
+        while active.is_empty() && r < horizon {
             r *= 4.0;
+            active = self.grid.query_disk(&self.rects, pos, r);
         }
         let full = active.len() == n;
         let window = if full { f64::INFINITY } else { r };
-        let wv = sweep::visible_set_windowed(
-            &self.polys,
-            &self.vertex_class,
-            &active,
-            pos,
-            self.pivot_class(id),
-            pivot_vertex,
-            window,
-            None,
-        );
-        self.sweeps += 1;
-        let mut succ: Vec<(NodeId, f64)> = Vec::new();
-        self.collect_successors(id, &active, &wv.vertices, 0.0, window, &mut succ);
+        let wv = self.sweep(id, &active, window, None);
+        self.collect_successors(id, &active, &wv.vertices, 0.0, window, &mut slot.succ);
         if full {
-            return CacheSlot {
-                n_obs: n,
-                radius: f64::INFINITY,
-                arcs: Vec::new(),
-                succ,
-            };
+            return slot;
         }
-
-        // ---- Wedge refinement of every open horizon arc. Work items
-        // never wrap past the +x axis (split on creation) so the ranged
-        // sweep can use plain angular order.
-        let mut arcs: Vec<ArcTrust> = Vec::new();
-        let mut work: Vec<(f64, f64, f64, usize)> = Vec::new(); // a0, a1, r, root
-        let push_split =
-            |work: &mut Vec<(f64, f64, f64, usize)>, a0: f64, a1: f64, r: f64, root: usize| {
-                if a0 < a1 {
-                    work.push((a0, a1, r, root));
-                } else if a0 > a1 {
-                    // wraps past the +x axis: split there
-                    work.push((a0, 4.0, r, root));
-                    work.push((0.0, a1, r, root));
-                }
-                // a0 == a1: zero-width arc (e.g. collapsed by clamping
-                // to a sub-range) — nothing to refine. Full-circle arcs
-                // are normalized to (0, 4) before they reach here.
-            };
-        for &(a0, a1) in &wv.open {
-            // An unranged sweep reports a full-circle horizon (single
-            // event group) as the degenerate wrap arc (a, a).
+        slot.radius = r;
+        for (a0, a1) in joined(&wv.open) {
+            // A full-circle horizon (a single event group, or every arc
+            // open) comes as the degenerate wrap arc (a, a).
             let (a0, a1) = if a0 == a1 { (0.0, 4.0) } else { (a0, a1) };
-            let root = arcs.len();
-            arcs.push(ArcTrust {
+            push_split(&mut slot.pending, a0, a1, r, slot.arcs.len());
+            slot.arcs.push(ArcTrust {
                 a0,
                 a1,
                 r,
                 open: false,
             });
-            push_split(&mut work, a0, a1, r, root);
         }
+        slot
+    }
+
+    /// Wedge refinement of the pending horizon arcs of `id` not yet
+    /// certified out to `reach`.
+    ///
+    /// Sight lines from the pivot are radial, so a wedge's visibility
+    /// only depends on the obstacles inside it: each arc is re-swept
+    /// (range-restricted) at tripling radius over just those until it
+    /// closes, provably faces no farther scene obstacle, or is certified
+    /// to `reach` — then it stays pending. Street canyons thus cost a few
+    /// thin wedge sweeps instead of inflating the whole disk.
+    fn refine(&mut self, id: NodeId, reach: f64) {
+        let i = id.0 as usize;
+        self.ensure_grid();
+        let pos = self.nodes[i].pos;
+        let extent = self.grid.bounds.maxdist_point(pos);
+        // No step stops short of the window a base sweep would use: a
+        // list first cut to a tiny reach catches up in one.
+        let min_step = reach.min(6.0 * self.mean_diag());
+        let mut slot = std::mem::take(&mut self.cache[i]);
+        let mut work = std::mem::take(&mut slot.pending);
         while let Some((a0, a1, r_arc, root)) = work.pop() {
+            if r_arc >= reach {
+                slot.pending.push((a0, a1, r_arc, root));
+                continue;
+            }
             // Does any scene obstacle reach beyond r_arc inside the arc?
-            let r_next = (r_arc * 3.0).min(extent * 1.0001);
+            let r_next = (r_arc * 3.0).max(min_step).min(extent * 1.0001);
             let pad = ARC_PAD * (1.0 + a1 - a0);
             let range = ((a0 - pad).max(0.0), (a1 + pad).min(4.0));
             let beyond = self
@@ -733,30 +868,20 @@ impl LazyScene {
             if !beyond {
                 // Nothing farther in this wedge: trusted as-is, but any
                 // new obstacle appearing here invalidates the cache.
-                arcs[root].open = true;
+                slot.arcs[root].open = true;
                 continue;
             }
             let wedge = self.grid.query_wedge(&self.rects, pos, r_next, range);
-            let wv = sweep::visible_set_windowed(
-                &self.polys,
-                &self.vertex_class,
-                &wedge,
-                pos,
-                self.pivot_class(id),
-                pivot_vertex,
-                r_next,
-                Some(range),
-            );
-            self.sweeps += 1;
+            let wv = self.sweep(id, &wedge, r_next, Some(range));
             // Trust band (r_arc, r_next]: nearer in-wedge vertices were
             // already reported by the parent sweep.
-            self.collect_successors(id, &wedge, &wv.vertices, r_arc, r_next, &mut succ);
-            arcs[root].r = arcs[root].r.max(r_next);
-            for &(b0, b1) in &wv.open {
+            self.collect_successors(id, &wedge, &wv.vertices, r_arc, r_next, &mut slot.succ);
+            slot.arcs[root].r = slot.arcs[root].r.max(r_next);
+            for (b0, b1) in joined(&wv.open) {
                 if r_next >= extent {
                     // The wedge already covers the whole scene: an open
                     // sub-arc faces empty space.
-                    arcs[root].open = true;
+                    slot.arcs[root].open = true;
                 } else {
                     push_split(&mut work, b0.max(range.0), b1.min(range.1), r_next, root);
                 }
@@ -764,14 +889,9 @@ impl LazyScene {
         }
 
         // Duplicate successors can arise where padded wedges overlap.
-        succ.sort_unstable_by_key(|(nid, _)| nid.0);
-        succ.dedup_by_key(|(nid, _)| nid.0);
-        CacheSlot {
-            n_obs: n,
-            radius: r,
-            arcs,
-            succ,
-        }
+        slot.succ.sort_unstable_by_key(|(nid, _)| nid.0);
+        slot.succ.dedup_by_key(|(nid, _)| nid.0);
+        self.cache[i] = slot;
     }
 
     /// Appends the visible vertices of `active` obstacles whose distance
@@ -852,8 +972,11 @@ impl LazyScene {
 
     /// Structural (and, with `check_semantics`, semantic) consistency
     /// check for tests: classifications match a from-scratch recompute,
-    /// and every *fresh* successor cache equals the naive visibility
-    /// oracle restricted to obstacle vertices.
+    /// and every successor cache a search would use as it stands (fresh,
+    /// or stale but passing revalidation) agrees with the naive
+    /// visibility oracle over what it certifies: every listed vertex is
+    /// oracle-visible, and every oracle-visible vertex within the list's
+    /// reach is listed.
     pub fn validate(&self, check_semantics: bool) -> Result<(), String> {
         let scene: Vec<&Polygon> = self.polys.iter().collect();
         for (oi, slot) in self.vertex_class.iter().enumerate() {
@@ -872,26 +995,34 @@ impl LazyScene {
                 }
             }
         }
+        if self.live != self.nodes.iter().filter(|n| n.alive).count() {
+            return Err(format!("live-node counter {} is off", self.live));
+        }
         if check_semantics {
             for (i, slot) in self.cache.iter().enumerate() {
-                if slot.n_obs != self.polys.len() {
-                    continue; // stale or never computed: exempt
+                if !self.cache_usable(i) {
+                    continue; // never computed, or due for a fresh sweep
                 }
-                let mut expect = self.visible_vertices_naive(NodeId(i as u32));
-                let mut got = slot.succ.clone();
-                expect.sort_by_key(|(n, _)| n.0);
-                got.sort_by_key(|(n, _)| n.0);
-                let expect_ids: Vec<u32> = expect.iter().map(|(n, _)| n.0).collect();
-                let got_ids: Vec<u32> = got.iter().map(|(n, _)| n.0).collect();
-                if expect_ids != got_ids {
-                    return Err(format!(
-                        "successor cache of node {i} disagrees with the naive oracle: \
-                         {got_ids:?} vs {expect_ids:?}"
-                    ));
+                let reach = slot.reach();
+                let mut oracle = self.visible_vertices_naive(NodeId(i as u32));
+                oracle.sort_by_key(|(n, _)| n.0);
+                for &(n, w) in &slot.succ {
+                    let seen = oracle.binary_search_by_key(&n.0, |(m, _)| m.0);
+                    let seen = seen.map(|k| oracle[k].1);
+                    if !seen.is_ok_and(|we| (w - we).abs() <= 1e-9) {
+                        return Err(format!(
+                            "successor cache of node {i} lists node {} at {w}; the naive oracle \
+                             sees it at {seen:?}",
+                            n.0
+                        ));
+                    }
                 }
-                for ((n, w), (_, we)) in got.iter().zip(expect.iter()) {
-                    if (w - we).abs() > 1e-9 {
-                        return Err(format!("edge {i}-{} weight {w} != {we}", n.0));
+                for &(n, we) in &oracle {
+                    if we <= reach && !slot.succ.iter().any(|&(m, _)| m == n) {
+                        return Err(format!(
+                            "successor cache of node {i} (reach {reach}) misses node {} at {we}",
+                            n.0
+                        ));
                     }
                 }
             }
@@ -1277,6 +1408,129 @@ mod tests {
                 assert!(w[0].1 <= w[1].1);
             }
         }
+    }
+
+    /// Two blocks, a source and three targets; `radius` decides who is in.
+    fn expand_at(radius: f64) -> (Vec<(NodeId, f64)>, NodeId, usize) {
+        let mut s = LazyScene::new(EdgeBuilder::RotationalSweep);
+        s.add_obstacle(square(1.0, -1.0, 2.0, 1.0), 0);
+        s.add_obstacle(square(4.0, -2.0, 5.0, 0.5), 1);
+        let q = s.add_waypoint(Point::new(0.0, 0.0), 9);
+        let targets: Vec<NodeId> = [(3.0, 0.0), (6.0, 0.0), (0.0, 0.0)]
+            .iter()
+            .map(|&(x, y)| s.add_waypoint(Point::new(x, y), 1))
+            .collect();
+        let first = s.bounded_expansion(q, radius, &targets);
+        let sweeps = s.sweep_count();
+        // Asking again is answered from the cache: no slot is left in a
+        // state that recomputes on every call.
+        assert_eq!(s.bounded_expansion(q, radius, &targets), first);
+        assert_eq!(s.sweep_count(), sweeps);
+        assert!(s.validate(true).is_ok());
+        (first, q, sweeps)
+    }
+
+    #[test]
+    fn bounded_expansion_nan_radius_holds_the_source_only() {
+        let (settled, q, sweeps) = expand_at(f64::NAN);
+        assert_eq!(settled, vec![(q, 0.0)]);
+        assert_eq!(sweeps, 0);
+    }
+
+    #[test]
+    fn bounded_expansion_negative_radius_holds_the_source_only() {
+        let (settled, q, sweeps) = expand_at(-1.0);
+        assert_eq!(settled, vec![(q, 0.0)]);
+        assert_eq!(sweeps, 0);
+    }
+
+    #[test]
+    fn bounded_expansion_zero_radius_holds_what_coincides_with_the_source() {
+        let (settled, q, _) = expand_at(0.0);
+        // The source and the target standing on it, nothing else.
+        assert_eq!(settled.len(), 2);
+        assert_eq!(settled[0], (q, 0.0));
+        assert_eq!(settled[1].1, 0.0);
+    }
+
+    #[test]
+    fn bounded_expansion_infinite_radius_is_the_unbounded_expansion() {
+        let (all, _, _) = expand_at(f64::INFINITY);
+        let (most, _, _) = expand_at(1e6);
+        // 8 vertices, the source and 3 targets.
+        assert_eq!(all.len(), 12);
+        assert_eq!(all, most);
+    }
+
+    #[test]
+    fn node_ids_stop_short_of_the_continuation_tag() {
+        let last = CONTINUATION as usize - 1;
+        assert_eq!(node_id(0), Ok(NodeId(0)));
+        assert_eq!(node_id(last), Ok(NodeId(last as u32)));
+        for slot in [last + 1, u32::MAX as usize, usize::MAX] {
+            assert_eq!(node_id(slot), Err(SceneFull(slot)));
+        }
+        assert!(SceneFull(last + 1).to_string().contains("scene full"));
+    }
+
+    /// The unit-test scenes above fit one base window, so their lists are
+    /// complete after one sweep. A generated city is large enough to
+    /// leave pending arcs: bounded lists are cached by one search,
+    /// revalidated when the scene grows and resumed by the next, and
+    /// `validate(true)` holds each to the oracle over its reach.
+    #[test]
+    fn bounded_lists_on_a_city_scene_agree_with_the_oracle() {
+        use obstacle_datagen::{sample_entities, City, CityConfig};
+        let city = City::generate(CityConfig::new(160, 5));
+        let entities = sample_entities(&city, 40, 6);
+        let (early, late) = city.obstacles.split_at(120);
+        let mut s = LazyScene::new(EdgeBuilder::RotationalSweep);
+        for (i, poly) in early.iter().enumerate() {
+            s.add_obstacle(poly.clone(), i as u64);
+        }
+        let diag = s.mean_diag();
+        let q = s.add_waypoint(entities[0], 0);
+        let targets: Vec<NodeId> = entities[1..]
+            .iter()
+            .map(|&p| s.add_waypoint(p, 1))
+            .collect();
+        let pending = |s: &LazyScene| s.cache.iter().filter(|c| !c.pending.is_empty()).count();
+
+        let near = s.bounded_expansion(q, 1.5 * diag, &targets);
+        assert!(near.len() > 1);
+        assert!(pending(&s) > 0, "a city scene leaves pending arcs");
+        s.validate(true).unwrap();
+
+        // A* across town and back resumes some of those lists.
+        let across = s.astar(targets[7], q).expect("free points");
+        s.validate(true).unwrap();
+        assert_eq!(
+            s.astar(q, targets[7]).map(|p| p.distance),
+            Some(across.distance)
+        );
+        s.validate(true).unwrap();
+
+        // The scene grows under the cached lists, a few obstacles at a
+        // time, searches in between.
+        for (i, poly) in late.iter().enumerate() {
+            s.add_obstacle(poly.clone(), 1000 + i as u64);
+            if i % 8 == 7 {
+                s.astar(targets[i % targets.len()], q);
+                s.validate(true).unwrap();
+            }
+        }
+
+        // The same expansion with more reach resumes what the first left
+        // pending; with all of it, nothing stays pending at its nodes.
+        let sweeps = s.sweep_count();
+        let far = s.bounded_expansion(q, 6.0 * diag, &targets);
+        assert!(far.len() > near.len());
+        assert!(s.sweep_count() > sweeps);
+        s.validate(true).unwrap();
+        let all = s.bounded_expansion(q, f64::INFINITY, &targets);
+        assert!(all.len() >= far.len());
+        assert!(s.cache[q.0 as usize].pending.is_empty());
+        s.validate(true).unwrap();
     }
 
     #[test]

@@ -41,12 +41,14 @@
 //!   the ellipse `|x−p| + |x−q| ≤ d_O(p, q)`, so long point-to-point
 //!   paths touch a corridor, not the scene — this is what makes
 //!   corner-to-corner shortest paths over 10⁴⁺ obstacles feasible (see
-//!   `obstacle_core::compute_obstructed_path`). Successor caches are
-//!   revalidated geometrically on obstacle insertion, so a growing scene
-//!   re-pays sweeps only for nodes it re-settles near the newcomer.
+//!   `obstacle_core::compute_obstructed_path`). Each sweep is bounded by
+//!   the *reach* the search can still use, so its cost follows the
+//!   query, not the extent of a scene earlier queries grew. Successor
+//!   caches are revalidated geometrically on obstacle insertion and
+//!   extended, not recomputed, when a later search needs more reach.
 //!   [`EdgeBuilder::Naive`] swaps the sweep for a pairwise scan — the
 //!   ablation arm, and the second opinion `LazyScene::validate` checks
-//!   every fresh successor list against.
+//!   every successor list against, over the reach the list certifies.
 //! * **[`VisibilityGraph`] (oracle)** pays O(n·m) per node up front, for
 //!   a fixed obstacle set, and then answers any number of
 //!   [`dijkstra`] searches. `obstacle_core::brute` and the oracle suites

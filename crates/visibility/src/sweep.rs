@@ -77,6 +77,9 @@ pub fn classify_incremental(class: &mut PointClass, oi: usize, poly: &Polygon, p
     }
 }
 
+/// "No edge" marker of the per-vertex incident-edge table.
+const NO_EDGE: u32 = u32::MAX;
+
 #[derive(Clone, Copy, Debug)]
 struct Edge {
     a: Point,
@@ -251,10 +254,15 @@ pub fn visible_set_windowed(
     // pivot: they only touch sight lines at the pivot and cannot block;
     // the pivot's interior cones handle blocking there).
     let mut edges: Vec<Edge> = Vec::new();
-    let mut incident: Vec<Vec<Vec<usize>>> = active
-        .iter()
-        .map(|&oi| vec![Vec::new(); polys[oi].len()])
-        .collect();
+    // A vertex has at most two incident edges: one `[u32; 2]` per active
+    // vertex (filled in edge order), obstacle `ai`'s at `first_vertex[ai]`.
+    let mut first_vertex: Vec<usize> = Vec::with_capacity(active.len());
+    let mut total = 0usize;
+    for &oi in active {
+        first_vertex.push(total);
+        total += polys[oi].len();
+    }
+    let mut incident: Vec<[u32; 2]> = vec![[NO_EDGE; 2]; total];
     for (ai, &oi) in active.iter().enumerate() {
         let poly = &polys[oi];
         let n = poly.len();
@@ -263,12 +271,20 @@ pub fn visible_set_windowed(
             if s.a == pivot || s.b == pivot {
                 continue;
             }
-            let idx = edges.len();
+            let idx = edges.len() as u32;
             edges.push(Edge { a: s.a, b: s.b });
-            incident[ai][vi].push(idx);
-            incident[ai][(vi + 1) % n].push(idx);
+            for v in [vi, (vi + 1) % n] {
+                let slot = &mut incident[first_vertex[ai] + v];
+                slot[usize::from(slot[0] != NO_EDGE)] = idx;
+            }
         }
     }
+    let incident_edges = |ev: &Event| {
+        incident[first_vertex[ev.obstacle] + ev.vertex]
+            .into_iter()
+            .filter(|&ei| ei != NO_EDGE)
+            .map(|ei| ei as usize)
+    };
 
     // ---- Initial status: edges properly crossing the sweep's start ray
     // (the +x axis, or the ray at `a0` when ranged).
@@ -363,7 +379,7 @@ pub fn visible_set_windowed(
 
         // Phase A: remove edges ending at this ray.
         for ev in group {
-            for &ei in &incident[ev.obstacle][ev.vertex] {
+            for ei in incident_edges(ev) {
                 let other = other_endpoint(&edges[ei], ev.pos);
                 if orient2d(pivot, ev.pos, other) == Orientation::Clockwise {
                     if let Some(p) = status.iter().position(|&s| s == ei) {
@@ -416,7 +432,7 @@ pub fn visible_set_windowed(
 
         // Phase C: insert edges beginning at this ray.
         for ev in group {
-            for &ei in &incident[ev.obstacle][ev.vertex] {
+            for ei in incident_edges(ev) {
                 let other = other_endpoint(&edges[ei], ev.pos);
                 if orient2d(pivot, ev.pos, other) == Orientation::CounterClockwise {
                     insert_into_status(&mut status, &edges, pivot, ray_target, ei, ev.pos);
