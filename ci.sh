@@ -21,9 +21,9 @@
 #   benchmark the repo benchmark (BENCHMARK.json, benchmark/) must keep
 #           compiling against the public API and answering correctly:
 #           its own fmt/clippy/unit-test check, then a short untraced run
-#           of both batch workloads and of the service workload, each of
-#           which must end with "correct": true (release; numbers from
-#           these short runs are not performance claims)
+#           of every workload, each of which must end with
+#           "correct": true (release; numbers from these short runs are
+#           not performance claims)
 #   analyze in-tree static analysis: obstacle_lint must report the
 #           workspace clean across all four invariant passes, and the
 #           debug lock-order-cycle / held-lock-across-sweep checker
@@ -135,6 +135,11 @@ stage_benchmark() {
   # scene, scene reuse >= 0.9) are the direct guard on successor lists
   # bounded by one query's reach, cached, and resumed by the next.
   benchmark_run clustered 2
+  # joins is the one workload that runs ODJ, and its in-run check (every
+  # operator's rows equal across the paged and packed backends, compared
+  # with !=) is the direct guard on a seed order that is a function of
+  # the data alone and on per-seed scenes.
+  benchmark_run joins 2
   benchmark_run service_churn 5
 }
 

@@ -11,7 +11,7 @@
 //! obstacle_cli path   --from X,Y --to X,Y
 //! obstacle_cli join   --e E [--s N] [--t N]
 //! obstacle_cli cp     [--k K] [--s N] [--t N]
-//! obstacle_cli batch  [--queries N] [--threads T] [--verify] [--stream]
+//! obstacle_cli batch  [--queries N] [--threads T] [--verify]
 //!                     [--schedule input|hilbert] [--clusters N]
 //! obstacle_cli update [--rounds R] [--edits N] [--queries Q] [--verify]
 //! obstacle_cli serve  [--depth N] [--admission block|reject|shed]
@@ -20,11 +20,12 @@
 //!
 //! `--backend packed` swaps the paged R*-tree for the packed static tree
 //! (one contiguous buffer, lock-free reads).
-//! `--schedule hilbert` claims batch queries in Hilbert order of their
-//! regions (scene-cache locality), `--stream` prints answers as workers
-//! finish them instead of waiting for the whole batch, and
-//! `--clusters N` draws the workload around `N` hotspots (the
-//! obstructed-clustering access pattern) instead of scattering it.
+//! `batch` prints answers as workers finish them; `--schedule hilbert`
+//! claims its queries in Hilbert order of their regions (scene-cache
+//! locality; default `input`), `--verify` re-runs the batch on one
+//! thread and compares, and `--clusters N` draws the workload around `N`
+//! hotspots (the obstructed-clustering access pattern) instead of
+//! scattering it.
 //!
 //! `serve` starts a resident [`QueryService`]: `--threads` workers stay
 //! up for the whole session, stdin lines (`nn X Y [K]`, `range X Y E`,
@@ -36,7 +37,7 @@
 //! saturation regime), and `--listen` additionally accepts the same line
 //! protocol over blocking TCP connections until the process is killed.
 
-use obstacle_bench::batch::{thread_sweep, to_core_query};
+use obstacle_bench::batch::to_core_query;
 use obstacle_core::{
     closest_pairs, distance_join, shortest_obstructed_path, Admission, Completion, EngineOptions,
     EntityIndex, ObstacleIndex, Outcome, QueryEngine, QueryService, QueryStats, SceneCache,
@@ -64,11 +65,8 @@ struct CommonOpts {
     backend: Backend,
     entities: usize,
     threads: usize,
-    /// `None` = flag absent. For `batch` that selects the legacy
-    /// thread-sweep path (passing `--schedule`, either value, selects
-    /// the scheduled single-run path, so `--schedule input` and
-    /// `--schedule hilbert` produce directly comparable output); for
-    /// `serve` the default is the service's Hilbert claim order.
+    /// `None` = flag absent: `batch` then claims in input order, `serve`
+    /// in the service's Hilbert claim order.
     schedule: Option<Schedule>,
 }
 
@@ -128,7 +126,6 @@ struct Args {
     paths: bool,
     queries: usize,
     verify: bool,
-    stream: bool,
     clusters: usize,
     /// Edit batches of the `update` command.
     rounds: usize,
@@ -335,6 +332,9 @@ fn cp(args: &Args) {
     print_stats(&r.stats);
 }
 
+/// `batch`: one streaming run — answers are consumed while workers still
+/// run; the interesting numbers are time-to-first-answer vs total wall
+/// clock and the scene-cache economics of the chosen schedule.
 fn batch(args: &Args) {
     let (city, obstacles) = world(args);
     let entities = entity_index(args, &city, args.common.entities, args.common.seed + 1);
@@ -359,86 +359,25 @@ fn batch(args: &Args) {
         )
     };
     let queries: Vec<obstacle_core::Query> = specs.iter().map(to_core_query).collect();
-    if args.stream {
-        return batch_streaming(args, &engine, &queries);
-    }
-    if let Some(schedule) = args.common.schedule {
-        return batch_scheduled(args, schedule, &engine, &queries);
-    }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // Verification needs a second (sequential) run to compare against;
-    // with one worker thread the run *is* sequential, so there is
-    // nothing to verify and the flag is reported as inapplicable.
-    let verifying = args.verify && args.common.threads > 1;
-    if args.verify && !verifying {
-        eprintln!("[--verify: nothing to verify with 1 worker thread — the run is sequential]");
-    }
+    let schedule = args.common.schedule.unwrap_or_default();
     println!(
         "batch of {} mixed queries over {} entities, {} worker thread(s) \
-         ({} core(s) available){}:",
+         ({} core(s) available), {} schedule:",
         queries.len(),
         entities.len(),
         args.common.threads,
-        cores,
-        if verifying {
-            ", verifying against sequential"
-        } else {
-            ""
-        }
-    );
-    let counts: Vec<usize> = if verifying {
-        vec![1, args.common.threads]
-    } else {
-        vec![args.common.threads]
-    };
-    let (points, answers) = thread_sweep(&engine, &queries, &counts, verifying);
-    for p in &points {
-        println!(
-            "  threads {:>2}: {:>10.2?} total, {:>8.1} queries/sec",
-            p.threads, p.elapsed, p.qps
-        );
-    }
-    if let [seq, par] = points.as_slice() {
-        println!(
-            "  speedup {:.2}x; results verified identical to sequential",
-            par.speedup_over(seq)
-        );
-    }
-    // Aggregate per-query stats of the last run (attributed via
-    // IoSnapshot windows; the answers come from thread_sweep — no extra
-    // batch execution).
-    let mut agg = QueryStats::default();
-    for a in &answers {
-        if let Some(s) = a.stats() {
-            agg.accumulate(s);
-        }
-    }
-    eprintln!(
-        "[aggregate cost: {} entity + {} obstacle page fetches, \
-         {} candidates, {} results]",
-        agg.entity_fetches, agg.obstacle_fetches, agg.candidates, agg.results
-    );
-}
-
-/// `batch --stream`: answers are consumed while workers still run; the
-/// interesting numbers are time-to-first-answer vs total wall clock and
-/// the scene-cache economics of the chosen schedule.
-fn batch_streaming(args: &Args, engine: &QueryEngine<'_>, queries: &[obstacle_core::Query]) {
-    let schedule = args.common.schedule.unwrap_or_default();
-    println!(
-        "streaming batch of {} queries, {} worker thread(s), {} schedule:",
-        queries.len(),
-        args.common.threads,
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
         schedule_name(schedule)
     );
     let request = engine
-        .batch(queries)
+        .batch(&queries)
         .threads(args.common.threads)
         .schedule(schedule);
     let progress_every = (queries.len() / 8).max(1);
     let t0 = std::time::Instant::now();
     let mut first = None;
     let mut agg = QueryStats::default();
+    let mut answers: Vec<Option<obstacle_core::Answer>> = vec![None; queries.len()];
     let ((count, results), stats) = request.stream(|stream| {
         let mut count = 0usize;
         let mut results = 0usize;
@@ -461,6 +400,7 @@ fn batch_streaming(args: &Args, engine: &QueryEngine<'_>, queries: &[obstacle_co
                     answer.result_count()
                 );
             }
+            answers[i] = Some(answer);
         }
         (count, results)
     });
@@ -483,74 +423,15 @@ fn batch_streaming(args: &Args, engine: &QueryEngine<'_>, queries: &[obstacle_co
         agg.entity_fetches, agg.obstacle_fetches, agg.candidates, agg.results
     );
     if args.verify {
-        let (sequential, _) = engine.batch(queries).threads(1).collect();
-        let (streamed, _) = request.stream(|stream| {
-            let mut v: Vec<(usize, obstacle_core::Answer)> = stream.collect();
-            v.sort_by_key(|(i, _)| *i);
-            v
-        });
-        for (i, (idx, a)) in streamed.iter().enumerate() {
-            assert_eq!(i, *idx);
+        let (sequential, _) = engine.batch(&queries).threads(1).collect();
+        for (i, (a, s)) in answers.iter().zip(&sequential).enumerate() {
             assert!(
-                a.same_results(&sequential[i]),
-                "streamed query {i} diverged from sequential"
+                a.as_ref().is_some_and(|a| a.same_results(s)),
+                "query {i} diverged from the sequential loop"
             );
         }
-        println!("  verified: streamed answers identical to the sequential loop");
+        println!("  verified: answers identical to the sequential loop");
     }
-}
-
-/// `batch --schedule <input|hilbert>` (collected): one scheduled run
-/// with scene stats — the same output shape for both schedules, so the
-/// two invocations compare directly — optionally verified against the
-/// sequential input-order loop.
-fn batch_scheduled(
-    args: &Args,
-    schedule: Schedule,
-    engine: &QueryEngine<'_>,
-    queries: &[obstacle_core::Query],
-) {
-    println!(
-        "batch of {} queries, {} worker thread(s), {} schedule:",
-        queries.len(),
-        args.common.threads,
-        schedule_name(schedule)
-    );
-    let t0 = std::time::Instant::now();
-    let (answers, stats) = engine
-        .batch(queries)
-        .threads(args.common.threads)
-        .schedule(schedule)
-        .collect();
-    let elapsed = t0.elapsed();
-    println!(
-        "  {:>10.2?} total, {:>8.1} queries/sec; scene caches: {} reuse(s), {} reset(s)",
-        elapsed,
-        queries.len() as f64 / elapsed.as_secs_f64(),
-        stats.scene_reuses,
-        stats.scene_resets
-    );
-    if args.verify {
-        let (sequential, _) = engine.batch(queries).threads(1).collect();
-        for (i, (a, s)) in answers.iter().zip(sequential.iter()).enumerate() {
-            assert!(
-                a.same_results(s),
-                "scheduled query {i} diverged from sequential"
-            );
-        }
-        println!("  verified: scheduled answers identical to the sequential loop");
-    }
-    let mut agg = QueryStats::default();
-    for a in &answers {
-        if let Some(s) = a.stats() {
-            agg.accumulate(s);
-        }
-    }
-    eprintln!(
-        "[aggregate cost: {} entity + {} obstacle page fetches, \
-         {} candidates, {} results]",
-        agg.entity_fetches, agg.obstacle_fetches, agg.candidates, agg.results
-    );
 }
 
 /// `update`: interleaves deterministic edit batches with probe queries
@@ -1000,7 +881,6 @@ fn parse_args() -> Args {
         paths: false,
         queries: 128,
         verify: false,
-        stream: false,
         clusters: 0,
         rounds: 4,
         edits: 32,
@@ -1045,7 +925,6 @@ fn parse_args() -> Args {
                     .unwrap_or_else(|_| usage("bad --queries"))
             }
             "--verify" => out.verify = true,
-            "--stream" => out.stream = true,
             "--clusters" => {
                 out.clusters = value("--clusters")
                     .parse()
@@ -1106,8 +985,10 @@ fn usage(err: &str) -> ! {
          \x20 path  --from X,Y --to X,Y\n\
          \x20 join  --e E [--s N] [--t N]\n\
          \x20 cp    [--k K] [--s N] [--t N]\n\
-         \x20 batch [--queries N] [--threads T] [--verify] [--stream]\n\
+         \x20 batch [--queries N] [--threads T] [--verify]\n\
          \x20       [--schedule input|hilbert] [--clusters N]\n\
+         \x20       (one streaming run, answers printed as workers finish\n\
+         \x20       them; --verify compares against a 1-thread run)\n\
          \x20 update [--rounds R] [--edits N] [--queries Q] [--verify]\n\
          \x20       (interleaves edit batches with probe queries over one\n\
          \x20       long-lived scene cache; --verify checks every answer\n\

@@ -18,7 +18,6 @@
 
 pub mod batch;
 pub mod figures;
-pub mod harness;
 pub mod scale;
 pub mod setup;
 pub mod table;

@@ -350,8 +350,8 @@ impl SceneCache {
     /// The reuse distance for a dataset spanning `universe`: queries
     /// within a couple percent of the universe diagonal of the scene's
     /// coverage reuse it; farther jumps retire it. The one locality
-    /// threshold shared by every cache user (batch workers, ODJ's
-    /// seed loop).
+    /// threshold shared by every cache user (batch and service
+    /// workers).
     pub fn slack_for(universe: &Rect) -> f64 {
         0.02 * universe.min.dist(universe.max)
     }
@@ -396,17 +396,8 @@ impl<'a> QueryEngine<'a> {
 
     /// Executes one batch [`Query`] through a [`SceneCache`]: the point
     /// operators (range, NN, path) run over the cache's reusable scene,
-    /// the dataset-wide operators manage their own. With the
-    /// `reuse_graph` ablation off, `cache` is left untouched and every
-    /// query pays a fresh scene, as before PR 4.
+    /// the dataset-wide operators manage their own.
     pub fn execute_with(&self, query: &Query, cache: &mut SceneCache) -> Answer {
-        let mut fresh;
-        let cache = if self.options.reuse_graph {
-            cache
-        } else {
-            fresh = SceneCache::new(self.options);
-            &mut fresh
-        };
         let slack = SceneCache::slack_over(self.obstacles, Some(self.entities));
         cache.validate(self.obstacles, slack);
         match *query {

@@ -395,34 +395,22 @@ impl ObstacleIndex {
     }
 }
 
-/// Tunable algorithm knobs. The defaults follow the paper; each
-/// alternative is the paper's own §4/§5 design choice switched off, for
-/// the `ablations` bench that shows it pays.
+/// The one algorithm option. ONN's shrinking threshold and graph reuse
+/// across candidates (§4) and ODJ's seed-side rule and Hilbert seed order
+/// (§5) are unconditional: each beat its off-arm when measured
+/// (`CHANGES.md`, PR 22).
 #[derive(Clone, Copy, Debug)]
 pub struct EngineOptions {
     /// Visibility-edge builder (paper: rotational plane sweep \[SS84\]).
+    /// `EdgeBuilder::Naive` is the oracle the equivalence suites compare
+    /// the sweep against.
     pub builder: EdgeBuilder,
-    /// ONN: keep shrinking the Euclidean search threshold `d_Emax` as
-    /// closer obstructed neighbours are found (paper: on).
-    pub shrink_threshold: bool,
-    /// ONN: reuse one visibility graph across candidates via
-    /// add/delete-entity (paper: on). Off rebuilds per candidate.
-    pub reuse_graph: bool,
-    /// ODJ: process join seeds in Hilbert order (paper: on).
-    pub hilbert_seed_order: bool,
-    /// ODJ: pick the seed side as the dataset with fewer distinct
-    /// candidates (paper: on). Off always seeds from `S`.
-    pub seed_side_heuristic: bool,
 }
 
 impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             builder: EdgeBuilder::RotationalSweep,
-            shrink_threshold: true,
-            reuse_graph: true,
-            hilbert_seed_order: true,
-            seed_side_heuristic: true,
         }
     }
 }
@@ -453,7 +441,7 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// Engine with custom options (ablations).
+    /// Engine with a chosen edge builder (the naive oracle).
     pub fn with_options(
         entities: &'a EntityIndex,
         obstacles: &'a ObstacleIndex,
@@ -518,10 +506,10 @@ mod tests {
 
     #[test]
     fn default_options_are_paper_faithful() {
-        let o = EngineOptions::default();
-        assert_eq!(o.builder, EdgeBuilder::RotationalSweep);
-        assert!(o.shrink_threshold && o.reuse_graph);
-        assert!(o.hilbert_seed_order && o.seed_side_heuristic);
+        assert_eq!(
+            EngineOptions::default().builder,
+            EdgeBuilder::RotationalSweep
+        );
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Obstacle e-distance join (ODJ — §5, Fig. 10).
 
-use crate::batch::SceneCache;
-use crate::distance::compute_obstructed_range;
+use crate::distance::{compute_obstructed_range, LocalGraph};
 use crate::engine::{EngineOptions, EntityIndex, ObstacleIndex};
 use crate::stats::{JoinResult, QueryStats};
 use crate::QUERY_TAG;
@@ -22,14 +21,16 @@ use std::collections::HashMap;
 ///    pairs becomes the *seed* side — one obstacle range expansion per
 ///    distinct seed answers all of that seed's pairs (instead of one per
 ///    pair);
-/// 3. seeds are processed in **Hilbert order**, so consecutive obstacle
-///    R-tree range queries touch nearby pages and hit the LRU buffer —
-///    and, since PR 4, consecutive seeds reuse one cached lazy scene
-///    ([`SceneCache`]), amortizing obstacle absorption and visibility
-///    sweeps exactly as the Hilbert order intends;
+/// 3. seeds are processed in **Hilbert order** (ties by id), so
+///    consecutive obstacle R-tree range queries touch nearby pages and
+///    hit the LRU buffer;
 /// 4. per seed, false hits are eliminated exactly like an obstacle range
-///    query (one bounded lazy Dijkstra expansion at radius `e` via
-///    [`compute_obstructed_range`], sweeping only nodes it settles).
+///    query: one bounded lazy Dijkstra expansion at radius `e` via
+///    [`compute_obstructed_range`], sweeping only nodes it settles, over
+///    a local scene of the seed's own. A scene shared across seeds was
+///    measured 1.1–2.8× slower (seeds are ~`e` apart and never repeat, so
+///    the earlier seeds' obstacles cost more to classify against than
+///    their cached sweeps save; `CHANGES.md`, PR 22).
 pub fn distance_join(
     s: &EntityIndex,
     t: &EntityIndex,
@@ -54,7 +55,7 @@ pub fn distance_join(
         s_partners.entry(si.id).or_default().push(ti.id);
         *t_distinct.entry(ti.id).or_default() += 1;
     }
-    let seed_from_s = !options.seed_side_heuristic || s_partners.len() <= t_distinct.len();
+    let seed_from_s = s_partners.len() <= t_distinct.len();
     let groups: HashMap<u64, Vec<u64>> = if seed_from_s {
         s_partners
     } else {
@@ -70,7 +71,8 @@ pub fn distance_join(
     // Falling back to the entity extent (then the unit square) keeps the
     // Hilbert order meaningful when the obstacle set is empty or has been
     // emptied by deletes — an empty tree must not collapse every seed key
-    // to the unit-square clamp.
+    // to the unit-square clamp. The id breaks ties inside one Hilbert
+    // cell: `groups` iterates in hash order, which must not reach `pairs`.
     let universe = obstacles
         .extent()
         .or_else(|| match (s.extent(), t.extent()) {
@@ -79,41 +81,22 @@ pub fn distance_join(
         })
         .unwrap_or_else(|| Rect::from_coords(0.0, 0.0, 1.0, 1.0));
     let mut seeds: Vec<u64> = groups.keys().copied().collect();
-    if options.hilbert_seed_order {
-        seeds.sort_by_key(|id| hilbert_index_unit(seed_set.position(*id), &universe));
-    } else {
-        seeds.sort_unstable();
-    }
+    seeds.sort_by_cached_key(|&id| (hilbert_index_unit(seed_set.position(id), &universe), id));
 
-    // Step 4: per-seed obstacle-range elimination over one cached lazy
-    // scene. Hilbert-adjacent seeds have overlapping disks, so the cache
-    // almost always keeps its scene warm; a jump to a far-away seed (or
-    // budget exhaustion) retires it. The `reuse_graph` ablation disables
-    // the cross-seed reuse (every seed pays a fresh scene), mirroring
-    // its contract for ONN candidates and `execute_with`.
+    // Step 4: per-seed obstacle-range elimination, each seed on a local
+    // scene of its own (Fig. 10 as written).
     let mut pairs = Vec::new();
     let mut peak_graph_nodes = 0usize;
     let mut distance_computations = 0usize;
-    let mut cache = SceneCache::new(options);
-    let slack = SceneCache::slack_for(&universe);
-    let mut fresh;
     for seed in seeds {
-        let q_pos = seed_set.position(seed);
-        let partners = &groups[&seed];
-        let region = Rect::from_coords(q_pos.x - e, q_pos.y - e, q_pos.x + e, q_pos.y + e);
-        let graph = if options.reuse_graph {
-            cache.scene_for(region, slack)
-        } else {
-            fresh = crate::distance::LocalGraph::new(options.builder);
-            &mut fresh
-        };
-        let q_node = graph.add_waypoint(q_pos, QUERY_TAG);
-        let targets: Vec<NodeId> = partners
+        let mut graph = LocalGraph::new(options.builder);
+        let q_node = graph.add_waypoint(seed_set.position(seed), QUERY_TAG);
+        let targets: Vec<NodeId> = groups[&seed]
             .iter()
             .map(|&pid| graph.add_waypoint(partner_set.position(pid), pid))
             .collect();
         distance_computations += 1;
-        for (node, d) in compute_obstructed_range(graph, q_node, &targets, obstacles, e) {
+        for (node, d) in compute_obstructed_range(&mut graph, q_node, &targets, obstacles, e) {
             if node == q_node {
                 continue;
             }
@@ -126,10 +109,6 @@ pub fn distance_join(
             }
         }
         peak_graph_nodes = peak_graph_nodes.max(graph.scene.node_count());
-        for t in targets {
-            graph.remove_waypoint(t);
-        }
-        graph.remove_waypoint(q_node);
     }
 
     let mut entity_io = s_io.finish();
@@ -212,21 +191,69 @@ mod tests {
     }
 
     #[test]
-    fn seed_side_and_hilbert_options_do_not_change_results() {
-        let (s, t, o) = scene();
-        let base = distance_join(&s, &t, &o, 3.0, EngineOptions::default());
-        for (hilbert, heuristic) in [(false, true), (true, false), (false, false)] {
-            let opts = EngineOptions {
-                hilbert_seed_order: hilbert,
-                seed_side_heuristic: heuristic,
-                ..Default::default()
-            };
-            let r = distance_join(&s, &t, &o, 3.0, opts);
-            let mut a: Vec<(u64, u64)> = base.pairs.iter().map(|(x, y, _)| (*x, *y)).collect();
-            let mut b: Vec<(u64, u64)> = r.pairs.iter().map(|(x, y, _)| (*x, *y)).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
+    fn seeds_in_one_hilbert_cell_come_out_in_id_order() {
+        // Two S points 1e-7 apart share a cell of the 2^16 Hilbert grid
+        // over the unit universe; each is within e of both T points.
+        let corners = [(0.0, 0.0, 0.01, 0.01), (0.99, 0.99, 1.0, 1.0)]
+            .map(|(a, b, c, d)| Polygon::from_rect(Rect::from_coords(a, b, c, d)));
+        let o = ObstacleIndex::build(RTreeConfig::tiny(4), corners.to_vec());
+        let s_pts = vec![Point::new(0.5, 0.5), Point::new(0.5 + 1e-7, 0.5)];
+        let universe = o.universe();
+        assert_eq!(
+            hilbert_index_unit(s_pts[0], &universe),
+            hilbert_index_unit(s_pts[1], &universe)
+        );
+        let s = EntityIndex::build(RTreeConfig::tiny(4), s_pts);
+        let t = EntityIndex::build(
+            RTreeConfig::tiny(4),
+            vec![Point::new(0.5, 0.51), Point::new(0.5, 0.49)],
+        );
+        let first = distance_join(&s, &t, &o, 0.02, EngineOptions::default()).pairs;
+        assert_eq!(first.len(), 4);
+        for _ in 0..31 {
+            let again = distance_join(&s, &t, &o, 0.02, EngineOptions::default()).pairs;
+            assert_eq!(again, first, "pair order must not follow HashMap iteration");
+        }
+    }
+
+    #[test]
+    fn every_seed_gets_a_scene_of_its_own() {
+        // A street of 16 blocks, a seed in every gap, a partner above
+        // every block: consecutive seeds' e-disks overlap, so a scene
+        // shared across seeds would never retire and would end up holding
+        // the whole street.
+        let blocks: Vec<Polygon> = (0..16)
+            .map(|i| {
+                Polygon::from_rect(Rect::from_coords(i as f64 + 0.2, 0.0, i as f64 + 0.8, 1.0))
+            })
+            .collect();
+        let s_pts: Vec<Point> = (1..16).map(|i| Point::new(i as f64, 0.5)).collect();
+        let t_pts: Vec<Point> = (0..16).map(|i| Point::new(i as f64 + 0.5, 1.3)).collect();
+        let o = ObstacleIndex::build(RTreeConfig::tiny(4), blocks.clone());
+        let s = EntityIndex::build(RTreeConfig::tiny(4), s_pts.clone());
+        let t = EntityIndex::build(RTreeConfig::tiny(4), t_pts.clone());
+        let e = 1.0;
+        let whole = distance_join(&s, &t, &o, e, EngineOptions::default());
+
+        let largest_single = s_pts
+            .iter()
+            .map(|&p| {
+                let one = EntityIndex::build(RTreeConfig::tiny(4), vec![p]);
+                let r = distance_join(&one, &t, &o, e, EngineOptions::default());
+                r.stats.peak_graph_nodes
+            })
+            .max();
+        assert_eq!(Some(whole.stats.peak_graph_nodes), largest_single);
+
+        let mut got = whole.pairs;
+        got.sort_by_key(|&(a, b, _)| (a, b));
+        let mut want = crate::brute::BruteForce::new(blocks).join(&s_pts, &t_pts, e);
+        want.sort_by_key(|&(a, b, _)| (a, b));
+        assert_eq!(got.len(), 30, "each seed reaches the partners either side");
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!((g.0, g.1), (w.0, w.1));
+            assert!((g.2 - w.2).abs() < 1e-9);
         }
     }
 

@@ -31,8 +31,8 @@ impl<'a> QueryEngine<'a> {
     ///
     /// The scene's absorbed obstacles and cached sweeps are reused and
     /// any the query absorbs stay behind for the next caller (the
-    /// cross-query extension of the ONN candidate-to-candidate reuse that
-    /// `reuse_graph` already does *within* one query). The query's
+    /// cross-query extension of the candidate-to-candidate reuse ONN
+    /// already does *within* one query). The query's
     /// waypoints are removed before returning; neighbours are identical
     /// to a fresh-scene run because extra resident obstacles are real
     /// obstacles and every Fig. 8 fixpoint still certifies its region.
@@ -59,41 +59,20 @@ impl<'a> QueryEngine<'a> {
 
         if k > 0 && !self.entities.is_empty() {
             let q_node = graph.add_waypoint(q, QUERY_TAG);
-            // The fixed threshold of the no-shrink ablation: set once when
-            // the k-th obstructed neighbour is first known.
-            let mut fixed_threshold: Option<f64> = None;
 
             for (item, d_e) in self.entities.tree().nearest(q) {
                 if euclid_top_k.len() < k {
                     euclid_top_k.push(item.id);
                 }
-                if result.len() == k {
-                    let d_emax = if self.options.shrink_threshold {
-                        result[k - 1].1
-                    } else {
-                        *fixed_threshold.get_or_insert(result[k - 1].1)
-                    };
-                    if d_e > d_emax {
-                        break;
-                    }
+                if result.len() == k && d_e > result[k - 1].1 {
+                    break;
                 }
                 candidates += 1;
                 distance_computations += 1;
-                let p_pos = item.mbr.min;
-                let d_o = if self.options.reuse_graph {
-                    let p_node = graph.add_waypoint(p_pos, item.id);
-                    let d = compute_obstructed_distance(graph, p_node, q_node, self.obstacles);
-                    graph.remove_waypoint(p_node);
-                    peak_graph_nodes = peak_graph_nodes.max(graph.scene.node_count());
-                    d
-                } else {
-                    let mut fresh = LocalGraph::new(self.options.builder);
-                    let qn = fresh.add_waypoint(q, QUERY_TAG);
-                    let pn = fresh.add_waypoint(p_pos, item.id);
-                    let d = compute_obstructed_distance(&mut fresh, pn, qn, self.obstacles);
-                    peak_graph_nodes = peak_graph_nodes.max(fresh.scene.node_count());
-                    d
-                };
+                let p_node = graph.add_waypoint(item.mbr.min, item.id);
+                let d_o = compute_obstructed_distance(graph, p_node, q_node, self.obstacles);
+                graph.remove_waypoint(p_node);
+                peak_graph_nodes = peak_graph_nodes.max(graph.scene.node_count());
                 if let Some(d_o) = d_o {
                     let at = result.partition_point(|&(_, d)| d <= d_o);
                     result.insert(at, (item.id, d_o));
@@ -200,7 +179,7 @@ impl Iterator for IncrementalNearest<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{EngineOptions, EntityIndex, ObstacleIndex};
+    use crate::engine::{EntityIndex, ObstacleIndex};
     use obstacle_geom::{Polygon, Rect};
     use obstacle_rtree::RTreeConfig;
 
@@ -268,26 +247,6 @@ mod tests {
         for (b, i) in batch.iter().zip(inc.iter()) {
             assert_eq!(b.0, i.0);
             assert!((b.1 - i.1).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn ablations_agree_with_default() {
-        let (entities, obstacles) = fig1_scene();
-        let q = Point::new(0.0, 0.0);
-        let default = QueryEngine::new(&entities, &obstacles).nearest(q, 2);
-        for (shrink, reuse) in [(false, true), (true, false), (false, false)] {
-            let opts = EngineOptions {
-                shrink_threshold: shrink,
-                reuse_graph: reuse,
-                ..Default::default()
-            };
-            let r = QueryEngine::with_options(&entities, &obstacles, opts).nearest(q, 2);
-            assert_eq!(r.neighbors.len(), default.neighbors.len());
-            for (a, b) in r.neighbors.iter().zip(default.neighbors.iter()) {
-                assert_eq!(a.0, b.0);
-                assert!((a.1 - b.1).abs() < 1e-12);
-            }
         }
     }
 }

@@ -6,7 +6,7 @@
 //! engine of [`compute_obstructed_path`] — the same iterative region
 //! growth as Fig. 8, but exploring the visibility graph on demand, so
 //! city-scale corner-to-corner routes stay tractable (see the
-//! `path_scaling` bench).
+//! `path_scaling` test, `ci.sh path`).
 
 use crate::distance::{compute_obstructed_path, LocalGraph};
 use crate::engine::{ObstacleIndex, QueryEngine};

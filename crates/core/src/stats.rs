@@ -54,10 +54,10 @@ pub struct QueryStats {
     /// Largest visibility scene observed (live nodes), a proxy for the
     /// paper's O(n² log n) graph-construction cost discussion. With a
     /// fresh scene per query this is the query's own local graph; when a
-    /// query runs over a reused scene (`SceneCache` — batch workers,
-    /// ODJ seeds), it reports the whole *resident* scene, obstacles
-    /// absorbed by earlier queries included — compare this metric only
-    /// across runs with the same reuse setting.
+    /// query runs over a reused scene (`SceneCache` — batch and service
+    /// workers), it reports the whole *resident* scene, obstacles
+    /// absorbed by earlier queries included. A join reports its largest
+    /// single-seed scene.
     pub peak_graph_nodes: usize,
 }
 

@@ -315,7 +315,7 @@ mod tests {
 
     #[test]
     fn path_matching_understands_subtree_entries() {
-        assert!(path_matches("crates/bench/src/harness.rs", "crates/bench/"));
+        assert!(path_matches("crates/bench/src/setup.rs", "crates/bench/"));
         assert!(!path_matches("crates/benchmark/src/x.rs", "crates/bench/"));
         assert!(path_matches(
             "crates/geom/src/order.rs",
@@ -343,7 +343,7 @@ fn g(x: Option<u32>) -> u32 {
     fn std_mutex_and_instant_flag_outside_the_shim_only() {
         let src = "use std::sync::Mutex;\nfn t() { let _ = std::time::Instant::now(); }\n";
         assert!(lint("crates/rtree/src/sync.rs", src).is_empty());
-        assert!(lint("crates/bench/src/harness.rs", src).is_empty());
+        assert!(lint("crates/bench/src/setup.rs", src).is_empty());
         let v = lint("crates/core/src/batch.rs", src);
         assert!(v.iter().any(|x| x.pass == LOCK_DISCIPLINE && x.line == 1));
         assert!(v.iter().any(|x| x.pass == LOCK_DISCIPLINE && x.line == 2));

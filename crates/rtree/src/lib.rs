@@ -19,7 +19,7 @@
 //!   node/item pairs, as required by OCP/iOCP.
 //!
 //! Construction supports both one-by-one R* insertion (ChooseSubtree,
-//! forced reinsertion, R* split) and bulk loading (STR and Hilbert), plus
+//! forced reinsertion, R* split) and STR bulk loading, plus
 //! deletion with the classic condense-tree reinsertion.
 //!
 //! Pages can be persisted to and reloaded from a byte image (see

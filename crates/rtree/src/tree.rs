@@ -4,7 +4,7 @@ use crate::config::RTreeConfig;
 use crate::entry::{Entry, Item, PageId};
 use crate::node::Node;
 use crate::store::{IoStats, PageStore};
-use obstacle_geom::{hilbert_index_unit, Point, Rect};
+use obstacle_geom::{Point, Rect};
 
 /// Number of least-enlargement candidates examined by the overlap-based
 /// `ChooseSubtree` rule (the R* paper's "nearly minimum" optimisation that
@@ -65,33 +65,6 @@ impl RTree {
             entries = t.pack_str_level(entries, level, cap);
             if entries.len() == 1 {
                 t.store.release(t.root); // drop the placeholder empty root
-                t.root = entries[0].child();
-                t.height = level + 1;
-                break;
-            }
-            level += 1;
-        }
-        t.recount();
-        t.finish_build();
-        t
-    }
-
-    /// Bulk loads in Hilbert order: items are sorted by the Hilbert index
-    /// of their centers within `universe` and packed sequentially.
-    pub fn bulk_load_hilbert(config: RTreeConfig, mut items: Vec<Item>, universe: &Rect) -> Self {
-        items.sort_by_key(|i| hilbert_index_unit(i.center(), universe));
-        let mut t = RTree::new(config);
-        if items.is_empty() {
-            t.finish_build();
-            return t;
-        }
-        let cap = config.capacity();
-        let mut entries: Vec<Entry> = items.into_iter().map(Entry::from).collect();
-        let mut level = 0u32;
-        loop {
-            entries = t.pack_chunks(entries, level, cap);
-            if entries.len() == 1 {
-                t.store.release(t.root);
                 t.root = entries[0].child();
                 t.height = level + 1;
                 break;
@@ -487,16 +460,6 @@ impl RTree {
             for chunk in slab.chunks(cap) {
                 parents.push(self.pack_node(chunk, level));
             }
-        }
-        parents
-    }
-
-    /// Packs `entries` into consecutive nodes preserving their order
-    /// (used after a Hilbert sort).
-    fn pack_chunks(&mut self, entries: Vec<Entry>, level: u32, cap: usize) -> Vec<Entry> {
-        let mut parents = Vec::with_capacity(entries.len().div_ceil(cap));
-        for chunk in entries.chunks(cap) {
-            parents.push(self.pack_node(chunk, level));
         }
         parents
     }

@@ -56,25 +56,18 @@ fn paper_config_build_is_shallow_and_valid() {
 fn bulk_loads_agree_with_insertion_on_queries() {
     let points = pts(2000, 42);
     let items = items_of(&points);
-    let universe = Rect::from_coords(0.0, 0.0, 1.0, 1.0);
     let a = RTree::build(RTreeConfig::tiny(8), items.clone());
-    let b = RTree::bulk_load_str(RTreeConfig::tiny(8), items.clone());
-    let c = RTree::bulk_load_hilbert(RTreeConfig::tiny(8), items, &universe);
+    let b = RTree::bulk_load_str(RTreeConfig::tiny(8), items);
     a.validate(true).unwrap();
     b.validate(false).unwrap();
-    c.validate(false).unwrap();
     assert_eq!(b.len(), 2000);
-    assert_eq!(c.len(), 2000);
 
     let window = Rect::from_coords(0.2, 0.3, 0.55, 0.6);
     let mut ra: Vec<u64> = a.range_rect(&window).iter().map(|i| i.id).collect();
     let mut rb: Vec<u64> = b.range_rect(&window).iter().map(|i| i.id).collect();
-    let mut rc: Vec<u64> = c.range_rect(&window).iter().map(|i| i.id).collect();
     ra.sort_unstable();
     rb.sort_unstable();
-    rc.sort_unstable();
     assert_eq!(ra, rb);
-    assert_eq!(ra, rc);
 
     // Ground truth.
     let expect: Vec<u64> = points
