@@ -8,22 +8,21 @@ use obstacle_geom::Point;
 use obstacle_rtree::sync::Stopwatch;
 use obstacle_rtree::{AnyTree, ClosestPairs, OrdF64, TreeBackend};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashSet};
 
-/// Obstructed distance of one point pair on a fresh local graph.
+/// Obstructed distance of one point pair on a fresh local graph, and the
+/// graph's node count.
 fn pair_distance(
     a: Point,
     b: Point,
     obstacles: &ObstacleIndex,
     options: &EngineOptions,
-    peak_graph_nodes: &mut usize,
-) -> Option<f64> {
+) -> (Option<f64>, usize) {
     let mut g = LocalGraph::new(options.builder);
     let na = g.add_waypoint(a, 0);
     let nb = g.add_waypoint(b, QUERY_TAG);
     let d = compute_obstructed_distance(&mut g, na, nb, obstacles);
-    *peak_graph_nodes = (*peak_graph_nodes).max(g.scene.node_count());
-    d
+    (d, g.scene.node_count())
 }
 
 /// The `k` pairs `(s, t) ∈ S × T` with the smallest obstructed distances,
@@ -67,13 +66,9 @@ pub fn closest_pairs(
             }
             candidates += 1;
             distance_computations += 1;
-            let d_o = pair_distance(
-                s.position(si.id),
-                t.position(ti.id),
-                obstacles,
-                &options,
-                &mut peak_graph_nodes,
-            );
+            let (d_o, nodes) =
+                pair_distance(s.position(si.id), t.position(ti.id), obstacles, &options);
+            peak_graph_nodes = peak_graph_nodes.max(nodes);
             if let Some(d_o) = d_o {
                 let at = result.partition_point(|&(_, _, d)| d <= d_o);
                 result.insert(at, (si.id, ti.id, d_o));
@@ -82,9 +77,10 @@ pub fn closest_pairs(
         }
     }
 
+    let answered: HashSet<(u64, u64)> = result.iter().map(|&(a, b, _)| (a, b)).collect();
     let false_hits = euclid_top_k
         .iter()
-        .filter(|(a, b)| !result.iter().any(|(x, y, _)| x == a && y == b))
+        .filter(|pair| !answered.contains(pair))
         .count();
 
     let mut entity_io = s_io.finish();
@@ -136,7 +132,6 @@ pub fn incremental_closest_pairs<'a>(
         pending: BinaryHeap::new(),
         last_euclid: 0.0,
         exhausted: s.is_empty() || t.is_empty(),
-        peak_graph_nodes: 0,
     }
 }
 
@@ -150,7 +145,6 @@ pub struct IncrementalClosestPairs<'a> {
     pending: BinaryHeap<Reverse<(OrdF64, u64, u64)>>,
     last_euclid: f64,
     exhausted: bool,
-    peak_graph_nodes: usize,
 }
 
 impl Iterator for IncrementalClosestPairs<'_> {
@@ -169,12 +163,11 @@ impl Iterator for IncrementalClosestPairs<'_> {
             match self.euclid.next() {
                 Some((si, ti, d_e)) => {
                     self.last_euclid = d_e;
-                    if let Some(d_o) = pair_distance(
+                    if let (Some(d_o), _) = pair_distance(
                         self.s.position(si.id),
                         self.t.position(ti.id),
                         self.obstacles,
                         &self.options,
-                        &mut self.peak_graph_nodes,
                     ) {
                         self.pending.push(Reverse((OrdF64::new(d_o), si.id, ti.id)));
                     }

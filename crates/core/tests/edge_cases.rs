@@ -131,6 +131,37 @@ fn closest_pairs_with_k_exceeding_pair_count() {
 }
 
 #[test]
+fn closest_pairs_over_every_pair_counts_false_hits() {
+    // k = |S|·|T|: every Euclidean pair is in the Euclidean top k, and the
+    // false hits are exactly the pairs with an endpoint trapped inside an
+    // obstacle (unreachable, so never in the answer).
+    let grid =
+        |i: usize, dx: f64| Point::new((i % 8) as f64 / 8.0 + dx, (i / 8) as f64 / 8.0 + 0.03);
+    let s: Vec<Point> = (0..60).map(|i| grid(i, 0.02)).collect();
+    let t: Vec<Point> = (0..60).map(|i| grid(i, 0.07)).collect();
+    let polygons = vec![square(0.1, 0.1, 0.16, 0.17), square(0.55, 0.55, 0.6, 0.67)];
+    let trapped = |p: &Point| {
+        polygons
+            .iter()
+            .any(|poly| poly.locate(*p) == obstacle_geom::PointLocation::Inside)
+    };
+    let (ts, tt) = (
+        s.iter().filter(|p| trapped(p)).count(),
+        t.iter().filter(|p| trapped(p)).count(),
+    );
+    assert!(ts > 0 && tt > 0, "the scene traps points on both sides");
+    let brute_false_hits = 60 * 60 - (60 - ts) * (60 - tt);
+    let obstacles = ObstacleIndex::build(RTreeConfig::tiny(4), polygons);
+    let (si, ti) = (
+        EntityIndex::build(RTreeConfig::tiny(4), s),
+        EntityIndex::build(RTreeConfig::tiny(4), t),
+    );
+    let r = closest_pairs(&si, &ti, &obstacles, 60 * 60, EngineOptions::default());
+    assert_eq!(r.pairs.len(), (60 - ts) * (60 - tt));
+    assert_eq!(r.stats.false_hits, brute_false_hits);
+}
+
+#[test]
 fn entity_wedged_between_touching_obstacles() {
     // Two obstacles touching at a point; an entity exactly at the touch
     // point is reachable (boundaries are walkable).
