@@ -13,7 +13,10 @@
 //! * angular comparison around a pivot (used by the rotational plane sweep
 //!   of Sharir & Schorr \[SS84\]),
 //! * a Hilbert space-filling curve (used by the ODJ algorithm of the paper
-//!   to order join seeds for obstacle R-tree locality).
+//!   to order join seeds for obstacle R-tree locality),
+//! * [`PackedIndex`], the one static packed R-tree layout: Hilbert pack,
+//!   stack descent and structural validation behind both the packed tree
+//!   backend and the lazy visibility scene's obstacle index.
 //!
 //! Obstacles in the paper are polygons whose *interior* is impassable;
 //! their boundary is walkable. All blocking tests in this crate therefore
@@ -28,6 +31,7 @@ mod angle;
 mod hilbert;
 mod hull;
 pub mod order;
+mod packed;
 mod point;
 mod polygon;
 mod predicates;
@@ -38,6 +42,7 @@ pub use angle::{angular_cmp, pseudo_angle, AngularOrder};
 pub use hilbert::{hilbert_index, hilbert_index_unit, HILBERT_ORDER};
 pub use hull::convex_hull;
 pub use order::{sort_by_f64_key, total_cmp, OrdF64};
+pub use packed::PackedIndex;
 pub use point::Point;
 pub use polygon::{BoundaryAttachment, PointLocation, Polygon, PolygonError};
 pub use predicates::{orient2d, orient2d_exact, Orientation};

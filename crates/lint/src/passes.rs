@@ -76,6 +76,7 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/path.rs",
     "crates/core/src/range.rs",
     "crates/core/src/semi_join.rs",
+    "crates/geom/src/packed.rs",
     "crates/rtree/src/packed.rs",
     "crates/rtree/src/persist.rs",
     "crates/visibility/src/astar.rs",

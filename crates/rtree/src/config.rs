@@ -71,7 +71,8 @@ pub struct RTreeConfig {
     /// Fan-out of the packed backend (entries per packed node). The
     /// flatbush-lineage default of 16 balances pruning granularity
     /// against per-node scan cost for in-memory search; the paged
-    /// capacity (204) models a 4 KiB disk page instead.
+    /// capacity (204) models a 4 KiB disk page instead. A build clamps it
+    /// to `2..=u16::MAX`: the `OPKD` image header stores it in 16 bits.
     pub packed_node_size: usize,
 }
 

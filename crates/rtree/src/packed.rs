@@ -1,19 +1,19 @@
-//! Packed static R-tree: one contiguous buffer, zero locks, zero
-//! deserialization.
+//! Packed static R-tree backend: an [`obstacle_geom::PackedIndex`] with
+//! the tree surface, a visit counter and an `OPKD` byte image.
 //!
-//! A flatbush-style layout (Kleppmann/Agafonkin lineage; see the
-//! `geo-index` excerpts in `SNIPPETS.md`): every slot is four `f64` box
-//! words plus one index word, items first in Hilbert order, then each
-//! tree level packed bottom-up, root last. Because the whole tree is a
-//! single word buffer:
+//! The layout, the Hilbert pack, the one stack descent and the structural
+//! validation all live in [`PackedIndex`], which the lazy visibility scene
+//! shares; this module adds what makes it a [`TreeBackend`](crate::TreeBackend):
 //!
 //! * queries are plain slice reads — no page buffer and no `Mutex` to
 //!   acquire, so concurrent batch workers share nothing but immutable
 //!   memory and a relaxed visit counter;
 //! * [`PackedRTree::to_bytes`] is a header plus the raw words, and
 //!   [`PackedRTree::from_bytes`] is a header check, one word copy and
-//!   [`PackedRTree::validate`] — no per-node decode, and no image that
-//!   could index out of bounds at query time is ever handed out.
+//!   [`PackedIndex::from_words`]'s validation — no per-node decode, and no
+//!   image that could index out of bounds at query time is ever handed
+//!   out. The header stores the fan-out in 16 bits, so
+//!   [`PackedRTree::build`] clamps it to `2..=u16::MAX`.
 //!
 //! The trade: the structure is static. There is no insert/delete here;
 //! [`AnyTree`](crate::AnyTree) rebuilds the pack on update, which is the
@@ -35,7 +35,7 @@ use crate::entry::{Entry, Item};
 use crate::persist::PersistError;
 use crate::stats::{LevelStats, TreeStats};
 use crate::store::{record_access, IoSnapshot, IoStats};
-use obstacle_geom::{hilbert_index_unit, Point, Rect};
+use obstacle_geom::{PackedIndex, Point, Rect};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -43,9 +43,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// against the paged `ORTR` magic).
 pub(crate) const PACKED_MAGIC: &[u8; 4] = b"OPKD";
 const VERSION: u16 = 1;
-
-/// Words per slot in the box region (min.x, min.y, max.x, max.y).
-const BOX_WORDS: usize = 4;
 
 /// A packed static R-tree over point/rectangle items.
 ///
@@ -57,17 +54,8 @@ const BOX_WORDS: usize = 4;
 #[derive(Debug)]
 pub struct PackedRTree {
     config: RTreeConfig,
-    /// The single contiguous buffer: `BOX_WORDS * slots` box words (f64
-    /// bit patterns) followed by `slots` index words. Serialized verbatim.
-    words: Box<[u64]>,
-    /// Items in the tree (slots `0..num_items` of the buffer).
-    num_items: usize,
-    /// Fan-out of the pack.
-    node_size: usize,
-    /// Exclusive end slot of each level, items (level 0) first; the last
-    /// entry is the total slot count and `level_ends.len() - 1` is the
-    /// number of *tree node* levels.
-    level_ends: Box<[usize]>,
+    /// The pack itself; its word buffer is serialized verbatim.
+    index: PackedIndex,
     /// Relaxed count of nodes visited by queries (the packed cost model).
     visits: AtomicU64,
     /// How many times this pack has been rebuilt by `AnyTree` updates
@@ -78,108 +66,25 @@ pub struct PackedRTree {
     pub(crate) generation: u64,
 }
 
-/// The level layout of a pack of `num_items` items at fan-out
-/// `node_size` — the exclusive end slot of each level: items first, then
-/// each node level (`ceil(below / node_size)` wide) up to a single root.
-/// `num_items = 0` has no node level at all; `num_items ≥ 1` always gets
-/// at least one, so the root is a real node even over a single item.
-///
-/// This is the one place the layout is computed — `build`, `validate` and
-/// `from_bytes` all derive it from the two header values — and it is
-/// checked: `None` for a fan-out below 2 or a slot total whose word
-/// buffer would not fit `usize` (both reachable from image bytes).
-fn level_layout(num_items: usize, node_size: usize) -> Option<Box<[usize]>> {
-    if node_size < 2 {
-        return None;
-    }
-    let mut ends = vec![num_items];
-    let (mut width, mut total) = (num_items, num_items);
-    while width > 0 {
-        width = width.div_ceil(node_size);
-        total = total.checked_add(width)?;
-        ends.push(total);
-        if width == 1 {
-            break;
-        }
-    }
-    total.checked_mul(BOX_WORDS + 1)?;
-    Some(ends.into_boxed_slice())
-}
-
 impl PackedRTree {
     /// Packs `items` into a static tree with the fan-out
-    /// `config.packed_node_size` (clamped to at least 2). Items are
-    /// sorted by the Hilbert index of their MBR center over the item
-    /// universe, then each level is packed left to right.
+    /// `config.packed_node_size`, clamped to `2..=u16::MAX` (the image
+    /// header's field width). Items are sorted by the Hilbert index of
+    /// their MBR center over the item universe, then each level is packed
+    /// left to right.
     pub fn build(config: RTreeConfig, items: impl IntoIterator<Item = Item>) -> Self {
-        let mut items: Vec<Item> = items.into_iter().collect();
-        let node_size = config.packed_node_size.max(2);
-        let n = items.len();
+        let node_size = config.packed_node_size.clamp(2, u16::MAX as usize);
+        let index = PackedIndex::pack(node_size, items.into_iter().map(|i| (i.mbr, i.id)));
+        PackedRTree::with_index(config, index)
+    }
 
-        let universe = items.iter().fold(Rect::empty(), |u, i| u.union(&i.mbr));
-        items.sort_by_key(|i| hilbert_index_unit(i.center(), &universe));
-
-        // Build time, not a read path: the fan-out is clamped above and the
-        // `n` items are in memory, so their slot count cannot overflow.
-        // lint:allow(no-unwrap-hot-path): see above
-        let level_ends = level_layout(n, node_size).expect("pack layout overflows usize");
-        let total = level_ends[level_ends.len() - 1];
-
-        let mut words = vec![0u64; total * (BOX_WORDS + 1)].into_boxed_slice();
-        let index_base = total * BOX_WORDS;
-        let write_box = |words: &mut [u64], slot: usize, r: &Rect| {
-            let w = slot * BOX_WORDS;
-            words[w] = r.min.x.to_bits();
-            words[w + 1] = r.min.y.to_bits();
-            words[w + 2] = r.max.x.to_bits();
-            words[w + 3] = r.max.y.to_bits();
-        };
-
-        // Item slots, in Hilbert order.
-        for (slot, item) in items.iter().enumerate() {
-            write_box(&mut words, slot, &item.mbr);
-            words[index_base + slot] = item.id;
-        }
-
-        // Pack each node level over the one below it.
-        let mut child_start = 0usize;
-        for level in 1..level_ends.len() {
-            let child_end = level_ends[level - 1];
-            let mut slot = child_end;
-            let mut child = child_start;
-            while child < child_end {
-                let first = child;
-                let last = (first + node_size).min(child_end);
-                let mut mbr = Rect::empty();
-                for c in first..last {
-                    let w = c * BOX_WORDS;
-                    mbr = mbr.union(&Rect::from_coords(
-                        f64::from_bits(words[w]),
-                        f64::from_bits(words[w + 1]),
-                        f64::from_bits(words[w + 2]),
-                        f64::from_bits(words[w + 3]),
-                    ));
-                }
-                write_box(&mut words, slot, &mbr);
-                words[index_base + slot] = first as u64;
-                slot += 1;
-                child = last;
-            }
-            debug_assert_eq!(slot, level_ends[level]);
-            child_start = child_end;
-        }
-
-        let tree = PackedRTree {
+    fn with_index(config: RTreeConfig, index: PackedIndex) -> Self {
+        PackedRTree {
             config,
-            words,
-            num_items: n,
-            node_size,
-            level_ends,
+            index,
             visits: AtomicU64::new(0),
             generation: 0,
-        };
-        debug_assert_eq!(tree.validate(), Ok(()), "freshly packed tree must validate");
-        tree
+        }
     }
 
     // -----------------------------------------------------------------
@@ -188,12 +93,12 @@ impl PackedRTree {
 
     /// Number of items.
     pub fn len(&self) -> usize {
-        self.num_items
+        self.index.len()
     }
 
     /// Whether the tree holds no items.
     pub fn is_empty(&self) -> bool {
-        self.num_items == 0
+        self.index.is_empty()
     }
 
     /// The configuration the pack was built with.
@@ -203,7 +108,7 @@ impl PackedRTree {
 
     /// Fan-out of the pack.
     pub fn node_size(&self) -> usize {
-        self.node_size
+        self.index.node_size()
     }
 
     /// How many times this pack has been rebuilt by `AnyTree` updates
@@ -218,68 +123,29 @@ impl PackedRTree {
     /// Number of tree nodes (slots above the item level) — the packed
     /// analogue of the paged tree's page count.
     pub fn num_nodes(&self) -> usize {
-        self.total_slots() - self.num_items
+        self.index.num_nodes()
     }
 
     /// Height in node levels (1 = a single root over the items; 0 only
     /// for an empty tree).
     pub fn height(&self) -> u32 {
-        (self.level_ends.len() - 1) as u32
-    }
-
-    fn total_slots(&self) -> usize {
-        self.words.len() / (BOX_WORDS + 1)
-    }
-
-    fn root_slot(&self) -> Option<usize> {
-        (self.num_items > 0).then(|| self.total_slots() - 1)
-    }
-
-    fn slot_box(&self, slot: usize) -> Rect {
-        let w = slot * BOX_WORDS;
-        Rect::from_coords(
-            f64::from_bits(self.words[w]),
-            f64::from_bits(self.words[w + 1]),
-            f64::from_bits(self.words[w + 2]),
-            f64::from_bits(self.words[w + 3]),
-        )
-    }
-
-    fn slot_index(&self, slot: usize) -> u64 {
-        self.words[self.total_slots() * BOX_WORDS + slot]
-    }
-
-    /// Level of a slot: 0 for item slots, `k ≥ 1` for node slots. The
-    /// *trait* level of a node slot is `slot_level - 1` (a node whose
-    /// children are items is a leaf, level 0), matching the paged tree.
-    fn slot_level(&self, slot: usize) -> usize {
-        self.level_ends.partition_point(|&end| end <= slot)
-    }
-
-    /// Child slot range of the node at `slot`.
-    fn children_of(&self, slot: usize) -> std::ops::Range<usize> {
-        let level = self.slot_level(slot);
-        debug_assert!(level >= 1, "items have no children");
-        let first = self.slot_index(slot) as usize;
-        let child_end = self.level_ends[level - 1];
-        first..(first + self.node_size).min(child_end)
+        self.index.height() as u32
     }
 
     /// MBR of the whole tree (empty rect when the tree is empty).
     pub fn root_mbr(&self) -> Rect {
-        match self.root_slot() {
-            Some(s) => self.slot_box(s),
-            None => Rect::empty(),
-        }
+        self.index.bounds()
     }
 
     // -----------------------------------------------------------------
     // Accounting — node visits, lock-free
     // -----------------------------------------------------------------
 
-    fn record_visit(&self) {
-        self.visits.fetch_add(1, Ordering::Relaxed);
-        record_access(self as *const PackedRTree as usize, true);
+    fn record_visits(&self, n: usize) {
+        self.visits.fetch_add(n as u64, Ordering::Relaxed);
+        for _ in 0..n {
+            record_access(self as *const PackedRTree as usize, true);
+        }
     }
 
     /// Cumulative node visits, in [`IoStats`] form: visits are reported
@@ -311,7 +177,7 @@ impl PackedRTree {
     /// All items whose MBR intersects `window`.
     pub fn range_rect(&self, window: &Rect) -> Vec<Item> {
         let mut out = Vec::new();
-        self.search(
+        self.visit(
             |r| r.intersects(window).then_some(()),
             |item, ()| out.push(item),
         );
@@ -323,7 +189,7 @@ impl PackedRTree {
     pub fn range_circle(&self, center: Point, radius: f64) -> Vec<Item> {
         let r_sq = radius * radius;
         let mut out = Vec::new();
-        self.search(
+        self.visit(
             |r| (r.mindist_point_sq(center) <= r_sq).then_some(()),
             |item, ()| out.push(item),
         );
@@ -335,47 +201,28 @@ impl PackedRTree {
     /// monotonicity contract.
     pub fn range_by_bound(&self, bound: impl Fn(&Rect) -> f64, threshold: f64) -> Vec<(Item, f64)> {
         let mut out = Vec::new();
-        self.search(
+        self.visit(
             |r| Some(bound(r)).filter(|&b| b <= threshold),
             |item, b| out.push((item, b)),
         );
         out
     }
 
-    /// The one stack descent behind the range queries: visits each node
-    /// whose box `keep` accepts and emits each accepted item together
-    /// with what `keep` returned for it (`keep` runs once per box).
-    fn search<T>(&self, keep: impl Fn(&Rect) -> Option<T>, mut emit: impl FnMut(Item, T)) {
-        let Some(root) = self.root_slot() else {
-            return;
-        };
-        let mut stack = vec![root];
-        while let Some(slot) = stack.pop() {
-            self.record_visit();
-            let leaf = self.slot_level(slot) == 1;
-            for c in self.children_of(slot) {
-                let mbr = self.slot_box(c);
-                if let Some(kept) = keep(&mbr) {
-                    if leaf {
-                        emit(Item::new(mbr, self.slot_index(c)), kept);
-                    } else {
-                        stack.push(c);
-                    }
-                }
-            }
-        }
+    /// [`PackedIndex::search`] over every item, its visits counted.
+    fn visit<T>(&self, keep: impl Fn(&Rect) -> Option<T>, mut emit: impl FnMut(Item, T)) {
+        let visits = self.index.search(keep, |id, mbr, kept| {
+            emit(Item::new(mbr, id), kept);
+            false
+        });
+        self.record_visits(visits);
     }
 
     /// Every item, in storage (Hilbert) order; counts one visit per leaf
     /// node scanned.
     pub fn items(&self) -> Vec<Item> {
-        if self.num_items == 0 {
-            return Vec::new();
-        }
-        for _ in self.num_items..self.level_ends[1] {
-            // One visit per leaf-level node: the packed analogue of the
-            // paged full scan's page fetches. (Range is leaf node count.)
-            self.record_visit();
+        if !self.is_empty() {
+            // The packed analogue of the paged full scan's page fetches.
+            self.record_visits(self.index.level_slots(1).len());
         }
         self.items_uncounted()
     }
@@ -383,182 +230,47 @@ impl PackedRTree {
     /// Every item without touching the visit counter (rebuild support,
     /// diagnostics).
     pub fn items_uncounted(&self) -> Vec<Item> {
-        (0..self.num_items)
-            .map(|slot| Item::new(self.slot_box(slot), self.slot_index(slot)))
+        self.index
+            .level_slots(0)
+            .map(|slot| Item::new(self.index.slot_box(slot), self.index.slot_id(slot)))
             .collect()
     }
 
     // -----------------------------------------------------------------
-    // TreeBackend node protocol
-    // -----------------------------------------------------------------
-
-    pub(crate) fn root_node_ref(&self) -> Option<u64> {
-        self.root_slot().map(|s| s as u64)
-    }
-
-    /// Trait level of node `slot` (0 = leaf). Derived from the slot index
-    /// alone — free, unlike the paged backend where it costs a fetch.
-    pub(crate) fn node_ref_level(&self, slot: u64) -> u32 {
-        (self.slot_level(slot as usize) - 1) as u32
-    }
-
-    pub(crate) fn read_node_ref(&self, slot: u64, out: &mut Vec<Entry>) -> u32 {
-        out.clear();
-        self.record_visit();
-        let slot = slot as usize;
-        let leaf = self.slot_level(slot) == 1;
-        for c in self.children_of(slot) {
-            let ptr = if leaf { self.slot_index(c) } else { c as u64 };
-            out.push(Entry::new(self.slot_box(c), ptr));
-        }
-        (self.slot_level(slot) - 1) as u32
-    }
-
-    // -----------------------------------------------------------------
-    // Structure statistics
+    // Structure statistics and validation
     // -----------------------------------------------------------------
 
     /// Per-level structural statistics (leaf nodes = level 0), matching
     /// the paged [`RTree::stats`](crate::RTree::stats) conventions.
     pub fn stats(&self) -> TreeStats {
-        let node_levels = self.level_ends.len() - 1;
         let mut stats = TreeStats {
-            levels: vec![LevelStats::default(); node_levels],
+            levels: vec![LevelStats::default(); self.index.height()],
         };
-        for lvl in 1..self.level_ends.len() {
-            let slots = self.level_ends[lvl - 1]..self.level_ends[lvl];
-            let s = &mut stats.levels[lvl - 1];
+        for (s, level) in stats.levels.iter_mut().zip(1..) {
+            let slots = self.index.level_slots(level);
             s.nodes = slots.len();
             let mut mbrs = Vec::with_capacity(slots.len());
             for slot in slots {
-                s.entries += self.children_of(slot).len();
-                let mbr = self.slot_box(slot);
+                s.entries += self.index.children(slot).len();
+                let mbr = self.index.slot_box(slot);
                 s.area += mbr.area();
                 mbrs.push(mbr);
             }
-            for i in 0..mbrs.len() {
-                for j in (i + 1)..mbrs.len() {
-                    s.overlap += mbrs[i].intersection_area(&mbrs[j]);
+            for (i, a) in mbrs.iter().enumerate() {
+                for b in &mbrs[i + 1..] {
+                    s.overlap += a.intersection_area(b);
                 }
             }
         }
         stats
     }
 
-    // -----------------------------------------------------------------
-    // Structural validation
-    // -----------------------------------------------------------------
-
-    /// Deep structural check of the packed image. Verifies, in order:
-    ///
-    /// * **header sanity** — fan-out ≥ 2, the level layout matches a
-    ///   recomputation from `(num_items, node_size)` (so each node level
-    ///   is `ceil(below / node_size)` wide, shrinking to a single root),
-    ///   and the word buffer has exactly `slots × (BOX_WORDS + 1)` words;
-    /// * **item boxes** — every item MBR is finite and non-inverted;
-    /// * **child coverage and index bounds** — each node's child pointer
-    ///   lands exactly where the left-to-right pack put it, ranges tile
-    ///   the level below with no gap, overlap, or out-of-bounds slot;
-    /// * **child MBR containment** — every node box is *bit-exactly* the
-    ///   union of its children's boxes (the build computes it that way,
-    ///   so any drift is corruption, not rounding).
-    ///
-    /// Runs in `O(slots)`; called on every decoded image before
-    /// [`PackedRTree::from_bytes`] returns it, and via `debug_assert!`
-    /// after every build and every `AnyTree::apply_edits` re-pack. A
-    /// corrupted image yields a description of the first violation.
+    /// Deep structural check of the pack ([`PackedIndex::validate`]):
+    /// called on every decoded image before [`PackedRTree::from_bytes`]
+    /// returns it, and via `debug_assert!` after every build and every
+    /// `AnyTree::apply_edits` re-pack.
     pub fn validate(&self) -> Result<(), String> {
-        let expect_ends = level_layout(self.num_items, self.node_size);
-        if expect_ends.as_ref() != Some(&self.level_ends) {
-            return Err(format!(
-                "level layout {:?} does not match recomputation {:?} for {} items at fan-out {}",
-                self.level_ends, expect_ends, self.num_items, self.node_size
-            ));
-        }
-        let slots = self.level_ends[self.level_ends.len() - 1];
-        if self.words.len() != slots * (BOX_WORDS + 1) {
-            return Err(format!(
-                "word buffer holds {} words, layout needs {}",
-                self.words.len(),
-                slots * (BOX_WORDS + 1)
-            ));
-        }
-        for slot in 0..self.num_items {
-            // Read the raw words: `slot_box` round-trips through
-            // `Rect::new`, whose f64::min/max would silently launder a
-            // NaN coordinate into a finite box.
-            let w = slot * BOX_WORDS;
-            let coords = [
-                f64::from_bits(self.words[w]),
-                f64::from_bits(self.words[w + 1]),
-                f64::from_bits(self.words[w + 2]),
-                f64::from_bits(self.words[w + 3]),
-            ];
-            if coords.iter().any(|v| !v.is_finite()) {
-                return Err(format!("item slot {slot} has non-finite box {coords:?}"));
-            }
-            if coords[0] > coords[2] || coords[1] > coords[3] {
-                return Err(format!("item slot {slot} has inverted box {coords:?}"));
-            }
-        }
-        for level in 1..self.level_ends.len() {
-            let child_lo = if level >= 2 {
-                self.level_ends[level - 2]
-            } else {
-                0
-            };
-            let child_hi = self.level_ends[level - 1];
-            let mut expect_first = child_lo;
-            for slot in self.level_ends[level - 1]..self.level_ends[level] {
-                let first = self.slot_index(slot) as usize;
-                if first != expect_first {
-                    return Err(format!(
-                        "node slot {slot} (level {level}) points at child {first}, \
-                         left-to-right packing requires {expect_first}"
-                    ));
-                }
-                let children = first..(first + self.node_size).min(child_hi);
-                if children.is_empty() {
-                    return Err(format!("node slot {slot} (level {level}) has no children"));
-                }
-                let parent = self.slot_box(slot);
-                let mut union = Rect::empty();
-                for c in children.clone() {
-                    let cb = self.slot_box(c);
-                    if cb.min.x < parent.min.x
-                        || cb.min.y < parent.min.y
-                        || cb.max.x > parent.max.x
-                        || cb.max.y > parent.max.y
-                    {
-                        return Err(format!(
-                            "child slot {c} box {cb:?} escapes parent slot {slot} box {parent:?}"
-                        ));
-                    }
-                    union = union.union(&cb);
-                }
-                let pw = slot * BOX_WORDS;
-                let union_bits = [
-                    union.min.x.to_bits(),
-                    union.min.y.to_bits(),
-                    union.max.x.to_bits(),
-                    union.max.y.to_bits(),
-                ];
-                if self.words[pw..pw + BOX_WORDS] != union_bits {
-                    return Err(format!(
-                        "node slot {slot} box {parent:?} is not the exact union {union:?} \
-                         of its children"
-                    ));
-                }
-                expect_first = children.end;
-            }
-            if expect_first != child_hi {
-                return Err(format!(
-                    "level {level} covers children only up to slot {expect_first}, \
-                     level below ends at {child_hi}"
-                ));
-            }
-        }
-        Ok(())
+        self.index.validate()
     }
 
     // -----------------------------------------------------------------
@@ -568,13 +280,14 @@ impl PackedRTree {
     /// Serializes the pack: a small header followed by the word buffer
     /// verbatim (no per-node encoding — the buffer *is* the tree).
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(32 + self.words.len() * 8);
+        let words = self.index.words();
+        let mut buf = BytesMut::with_capacity(32 + words.len() * 8);
         buf.put_slice(PACKED_MAGIC);
         buf.put_u16_le(VERSION);
-        buf.put_u16_le(self.node_size as u16);
-        buf.put_u64_le(self.num_items as u64);
-        buf.put_u64_le(self.words.len() as u64);
-        for w in self.words.iter() {
+        buf.put_u16_le(self.index.node_size() as u16);
+        buf.put_u64_le(self.index.len() as u64);
+        buf.put_u64_le(words.len() as u64);
+        for w in words {
             buf.put_u64_le(*w);
         }
         buf.freeze()
@@ -583,7 +296,7 @@ impl PackedRTree {
     /// Decodes an image produced by [`PackedRTree::to_bytes`]: header
     /// check, length check, one bulk copy of the word buffer (taken
     /// as-is, so the round trip is bit-exact and costs no per-node
-    /// rebuild), then [`PackedRTree::validate`] — the bytes come from
+    /// rebuild), then [`PackedIndex::from_words`] — the bytes come from
     /// outside, and every query indexes the buffer by what they say. The
     /// level layout is recomputed from `(num_items, node_size)`; the
     /// decoded tree carries a default config tagged with the packed
@@ -612,30 +325,18 @@ impl PackedRTree {
         if data.remaining() < byte_len {
             return Err(PersistError::Truncated);
         }
-        let level_ends = level_layout(num_items, node_size).ok_or_else(|| {
-            PersistError::Corrupt(format!(
-                "no level layout for {num_items} items at fan-out {node_size}"
-            ))
-        })?;
         let words: Box<[u64]> = data[..byte_len]
             .chunks_exact(8)
             .map(|mut w| w.get_u64_le())
             .collect();
-        let tree = PackedRTree {
-            config: RTreeConfig {
-                backend: Backend::Packed,
-                packed_node_size: node_size,
-                ..RTreeConfig::paper()
-            },
-            words,
-            num_items,
-            node_size,
-            level_ends,
-            visits: AtomicU64::new(0),
-            generation: 0,
+        let index =
+            PackedIndex::from_words(num_items, node_size, words).map_err(PersistError::Corrupt)?;
+        let config = RTreeConfig {
+            backend: Backend::Packed,
+            packed_node_size: node_size,
+            ..RTreeConfig::paper()
         };
-        tree.validate().map_err(PersistError::Corrupt)?;
-        Ok(tree)
+        Ok(PackedRTree::with_index(config, index))
     }
 
     /// Writes the byte image to a file.
@@ -661,15 +362,29 @@ impl crate::backend::TreeBackend for PackedRTree {
     }
 
     fn root_node(&self) -> Option<u64> {
-        self.root_node_ref()
+        self.index.root().map(|slot| slot as u64)
     }
 
+    /// Derived from the slot index alone — free, unlike the paged
+    /// backend where it costs a fetch.
     fn node_level(&self, node: u64) -> u32 {
-        self.node_ref_level(node)
+        (self.index.level_of(node as usize) - 1) as u32
     }
 
     fn read_node_into(&self, node: u64, out: &mut Vec<Entry>) -> u32 {
-        self.read_node_ref(node, out)
+        out.clear();
+        self.record_visits(1);
+        let slot = node as usize;
+        let level = self.index.level_of(slot);
+        for c in self.index.children(slot) {
+            let ptr = if level == 1 {
+                self.index.slot_id(c)
+            } else {
+                c as u64
+            };
+            out.push(Entry::new(self.index.slot_box(c), ptr));
+        }
+        (level - 1) as u32
     }
 
     fn range_rect(&self, window: &Rect) -> Vec<Item> {
@@ -868,7 +583,7 @@ mod tests {
         let back = PackedRTree::from_bytes(&img).unwrap();
         assert_eq!(back.len(), packed.len());
         assert_eq!(back.height(), packed.height());
-        assert_eq!(back.words, packed.words);
+        assert_eq!(back.index.words(), packed.index.words());
         let w = Rect::from_coords(0.5, 0.5, 3.0, 3.0);
         assert_eq!(
             sorted_ids(back.range_rect(&w)),
@@ -921,37 +636,20 @@ mod tests {
     }
 
     #[test]
-    fn validate_detects_corrupted_words_and_layout() {
-        // Shrink the root box: its children escape it.
-        let mut t = PackedRTree::build(packed_config(4), sample_items(50));
-        let root = t.total_slots() - 1;
-        t.words[root * BOX_WORDS + 2] = 0.0f64.to_bits(); // max.x := 0
-        let err = t.validate().unwrap_err();
-        assert!(err.contains("escapes parent"), "got: {err}");
-
-        // Point a node at the wrong child slot: packing contiguity broken.
-        let mut t = PackedRTree::build(packed_config(4), sample_items(50));
-        let first_node = t.num_items;
-        let idx = t.total_slots() * BOX_WORDS + first_node;
-        t.words[idx] += 1;
-        let err = t.validate().unwrap_err();
-        assert!(err.contains("left-to-right packing"), "got: {err}");
-
-        // NaN a leaf item's coordinate: non-finite box.
-        let mut t = PackedRTree::build(packed_config(4), sample_items(50));
-        t.words[0] = f64::NAN.to_bits();
-        let err = t.validate().unwrap_err();
-        assert!(
-            err.contains("non-finite") || err.contains("escapes parent"),
-            "got: {err}"
-        );
-
-        // Tamper with the recorded level layout: header sanity.
-        let mut t = PackedRTree::build(packed_config(4), sample_items(50));
-        let mut ends = t.level_ends.to_vec();
-        ends[0] += 1;
-        t.level_ends = ends.into_boxed_slice();
-        let err = t.validate().unwrap_err();
-        assert!(err.contains("level layout"), "got: {err}");
+    fn fan_outs_past_the_header_width_clamp_and_round_trip() {
+        let items = sample_items(5_000);
+        let w = Rect::from_coords(0.5, 0.5, 3.0, 3.0);
+        for fan_out in [65_535, 65_536, 70_000] {
+            let t = PackedRTree::build(packed_config(fan_out), items.clone());
+            assert_eq!(t.node_size(), u16::MAX as usize, "fan-out {fan_out}");
+            let back = PackedRTree::from_bytes(&t.to_bytes())
+                .unwrap_or_else(|e| panic!("fan-out {fan_out}: {e}"));
+            assert_eq!(back.node_size(), t.node_size(), "fan-out {fan_out}");
+            assert_eq!(
+                sorted_ids(back.range_rect(&w)),
+                sorted_ids(t.range_rect(&w)),
+                "fan-out {fan_out}"
+            );
+        }
     }
 }

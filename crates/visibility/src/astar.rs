@@ -45,7 +45,7 @@
 use crate::dijkstra::PathResult;
 use crate::graph::{NodeId, NodeKind, ObstacleId};
 use crate::sweep::{self, PointClass};
-use obstacle_geom::{pseudo_angle, OrdF64, Point, Polygon, Rect, Segment};
+use obstacle_geom::{pseudo_angle, OrdF64, PackedIndex, Point, Polygon, Rect, Segment};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -243,6 +243,15 @@ fn rect_span(pivot: Point, rect: &Rect) -> Option<(f64, f64)> {
     Some((base + lo, base + hi))
 }
 
+/// Whether `rect`, seen from `pivot`, may overlap the CCW pseudo-angle
+/// interval `range` (conservative: true when its span is unbounded).
+fn in_wedge(pivot: Point, rect: &Rect, range: (f64, f64)) -> bool {
+    rect_span(pivot, rect).is_none_or(|span| arc_overlap(range, span))
+}
+
+/// Fan-out of a scene's obstacle index.
+const GRID_FAN: usize = 8;
+
 /// A scene of obstacles and waypoints supporting lazy A\* shortest-path
 /// queries (see the module docs).
 ///
@@ -269,9 +278,10 @@ pub struct LazyScene {
     /// Successor list per node slot (parallel to `nodes`).
     cache: Vec<CacheSlot>,
     sweeps: usize,
-    /// Packed bbox-tree over obstacle MBRs: window and wedge candidate
-    /// selection without scanning the whole scene.
-    grid: BboxTree,
+    /// Static packed index over `rects` (ids = obstacle index), repacked
+    /// by `ensure_grid` once the scene has grown: window and wedge
+    /// candidates and indexed visibility without scanning the scene.
+    grid: PackedIndex,
 }
 
 impl LazyScene {
@@ -423,7 +433,7 @@ impl LazyScene {
         !self.polys.iter().any(|p| p.blocks_segment(s))
     }
 
-    /// [`LazyScene::visible`] through the bbox-tree: only obstacles whose
+    /// [`LazyScene::visible`] through the obstacle index: only obstacles whose
     /// MBR meets the segment's bounding box are tested exactly, so the
     /// cost tracks the segment's neighbourhood rather than the scene —
     /// the difference matters once a long-lived scene (a cross-query
@@ -435,11 +445,15 @@ impl LazyScene {
         self.ensure_grid();
         let s = Segment::new(a, b);
         let sb = Rect::new(a, b);
-        !self.grid.visit(
-            &self.rects,
-            |mbr| mbr.intersects(&sb),
-            |oi| self.polys[oi].blocks_segment(s),
-        )
+        let mut blocked = false;
+        self.grid.search(
+            |mbr| mbr.intersects(&sb).then_some(()),
+            |oi, _, ()| {
+                blocked = self.polys[oi as usize].blocks_segment(s);
+                blocked
+            },
+        );
+        !blocked
     }
 
     /// A\* shortest path from `from` to `to` over the current scene, or
@@ -802,14 +816,14 @@ impl LazyScene {
             return slot;
         }
         self.ensure_grid();
-        let horizon = self.grid.bounds.maxdist_point(pos).min(reach);
+        let horizon = self.grid.bounds().maxdist_point(pos).min(reach);
 
         // Grow the disk only until it contains some obstacle.
         let mut r = (6.0 * self.mean_diag()).min(horizon).max(1e-12);
-        let mut active = self.grid.query_disk(&self.rects, pos, r);
+        let mut active = self.candidates(pos, r, None);
         while active.is_empty() && r < horizon {
             r *= 4.0;
-            active = self.grid.query_disk(&self.rects, pos, r);
+            active = self.candidates(pos, r, None);
         }
         let full = active.len() == n;
         let window = if full { f64::INFINITY } else { r };
@@ -847,7 +861,7 @@ impl LazyScene {
         let i = id.0 as usize;
         self.ensure_grid();
         let pos = self.nodes[i].pos;
-        let extent = self.grid.bounds.maxdist_point(pos);
+        let extent = self.grid.bounds().maxdist_point(pos);
         // No step stops short of the window a base sweep would use: a
         // list first cut to a tiny reach catches up in one.
         let min_step = reach.min(6.0 * self.mean_diag());
@@ -862,16 +876,21 @@ impl LazyScene {
             let r_next = (r_arc * 3.0).max(min_step).min(extent * 1.0001);
             let pad = ARC_PAD * (1.0 + a1 - a0);
             let range = ((a0 - pad).max(0.0), (a1 + pad).min(4.0));
-            let beyond = self
-                .grid
-                .wedge_reaches_beyond(&self.rects, pos, r_arc, range);
+            let mut beyond = false;
+            self.grid.search(
+                |mbr| (mbr.maxdist_point(pos) > r_arc && in_wedge(pos, mbr, range)).then_some(()),
+                |_, _, ()| {
+                    beyond = true;
+                    true
+                },
+            );
             if !beyond {
                 // Nothing farther in this wedge: trusted as-is, but any
                 // new obstacle appearing here invalidates the cache.
                 slot.arcs[root].open = true;
                 continue;
             }
-            let wedge = self.grid.query_wedge(&self.rects, pos, r_next, range);
+            let wedge = self.candidates(pos, r_next, Some(range));
             let wv = self.sweep(id, &wedge, r_next, Some(range));
             // Trust band (r_arc, r_next]: nearer in-wedge vertices were
             // already reported by the parent sweep.
@@ -935,13 +954,32 @@ impl LazyScene {
         }
     }
 
-    /// (Re)builds the packed bbox-tree over the obstacle MBRs. Obstacles
-    /// are absorbed in batches between searches, so this runs a handful
-    /// of times per query — O(n log n) each, amortized negligible.
+    /// Repacks `grid` over the obstacle MBRs when obstacles were added
+    /// since the last pack (the index is static). Obstacles are absorbed
+    /// in batches between searches, so this runs a handful of times per
+    /// query — O(n log n) each, amortized negligible.
     fn ensure_grid(&mut self) {
-        if self.grid.built != self.rects.len() {
-            self.grid = BboxTree::build(&self.rects);
+        if self.grid.len() != self.rects.len() {
+            self.grid = PackedIndex::pack(GRID_FAN, self.rects.iter().copied().zip(0..));
         }
+    }
+
+    /// Obstacles whose MBR lies within distance `r` of `pos` and, given a
+    /// `range`, may overlap that angular interval (see [`in_wedge`]).
+    fn candidates(&self, pos: Point, r: f64, range: Option<(f64, f64)>) -> Vec<usize> {
+        let mut out = Vec::new();
+        self.grid.search(
+            |mbr| {
+                (mbr.mindist_point_sq(pos) <= r * r
+                    && range.is_none_or(|range| in_wedge(pos, mbr, range)))
+                .then_some(())
+            },
+            |oi, _, ()| {
+                out.push(oi as usize);
+                false
+            },
+        );
+        out
     }
 
     fn pivot_class(&self, id: NodeId) -> &PointClass {
@@ -1028,179 +1066,6 @@ impl LazyScene {
             }
         }
         Ok(())
-    }
-}
-
-/// Packed STR bbox-tree over the obstacle MBRs: rects are sorted into
-/// vertical slabs by centre (Sort-Tile-Recursive), grouped bottom-up
-/// into fanout-sized runs, and queried with mindist / angular-span
-/// pruning. Rebuilt from scratch when the scene grows — absorption
-/// happens in a handful of batches per query, so rebuilds amortize to
-/// nothing while every lookup stays O(log n + hits).
-#[derive(Clone, Debug)]
-struct BboxTree {
-    /// Obstacle id per leaf slot (STR order).
-    leaf_id: Vec<u32>,
-    /// `levels[0][g]` = MBR of leaves `[g·F, (g+1)·F)`; each higher level
-    /// groups the previous one the same way. The last level is the root.
-    levels: Vec<Vec<Rect>>,
-    /// Union of all rects (query horizon bound).
-    bounds: Rect,
-    /// Number of obstacles indexed (staleness check).
-    built: usize,
-}
-
-impl Default for BboxTree {
-    fn default() -> Self {
-        BboxTree {
-            leaf_id: Vec::new(),
-            levels: Vec::new(),
-            bounds: Rect::empty(),
-            built: 0,
-        }
-    }
-}
-
-const TREE_FAN: usize = 8;
-
-impl BboxTree {
-    fn build(rects: &[Rect]) -> BboxTree {
-        let n = rects.len();
-        let mut ids: Vec<u32> = (0..n as u32).collect();
-        if n == 0 {
-            return BboxTree::default();
-        }
-        // STR packing: slabs by centre x, each slab sorted by centre y.
-        let slabs = ((n as f64 / TREE_FAN as f64).sqrt().ceil() as usize).max(1);
-        let per_slab = n.div_ceil(slabs);
-        ids.sort_unstable_by(|&a, &b| {
-            let ca = rects[a as usize].center();
-            let cb = rects[b as usize].center();
-            ca.x.total_cmp(&cb.x)
-        });
-        for chunk in ids.chunks_mut(per_slab) {
-            chunk.sort_unstable_by(|&a, &b| {
-                let ca = rects[a as usize].center();
-                let cb = rects[b as usize].center();
-                ca.y.total_cmp(&cb.y)
-            });
-        }
-        let mut bounds = Rect::empty();
-        for r in rects {
-            bounds = bounds.union(r);
-        }
-        let group = |mbrs: &[Rect]| -> Vec<Rect> {
-            mbrs.chunks(TREE_FAN)
-                .map(|c| c.iter().fold(Rect::empty(), |acc, r| acc.union(r)))
-                .collect()
-        };
-        let leaf_mbrs: Vec<Rect> = ids.iter().map(|&i| rects[i as usize]).collect();
-        // Accumulate bottom-up in `top` so no level is ever re-fetched
-        // from the vec (Option-free; `top` is non-empty by construction).
-        let mut levels = Vec::new();
-        let mut top = group(&leaf_mbrs);
-        while top.len() > 1 {
-            let next = group(&top);
-            levels.push(top);
-            top = next;
-        }
-        levels.push(top);
-        BboxTree {
-            leaf_id: ids,
-            levels,
-            bounds,
-            built: n,
-        }
-    }
-
-    /// Visits every obstacle whose MBR passes `prune` (a conservative
-    /// subtree test that must also hold for individual rects), calling
-    /// `leaf` until it returns `true` (early exit).
-    fn visit(
-        &self,
-        rects: &[Rect],
-        prune: impl Fn(&Rect) -> bool,
-        mut leaf: impl FnMut(usize) -> bool,
-    ) -> bool {
-        if self.leaf_id.is_empty() {
-            return false;
-        }
-        let top = self.levels.len() - 1;
-        let mut stack: Vec<(usize, usize)> = (0..self.levels[top].len())
-            .filter(|&g| prune(&self.levels[top][g]))
-            .map(|g| (top, g))
-            .collect();
-        while let Some((level, g)) = stack.pop() {
-            let lo = g * TREE_FAN;
-            if level == 0 {
-                let hi = ((g + 1) * TREE_FAN).min(self.leaf_id.len());
-                for &oi in &self.leaf_id[lo..hi] {
-                    if prune(&rects[oi as usize]) && leaf(oi as usize) {
-                        return true;
-                    }
-                }
-            } else {
-                let below = &self.levels[level - 1];
-                let hi = ((g + 1) * TREE_FAN).min(below.len());
-                for (off, mbr) in below[lo..hi].iter().enumerate() {
-                    if prune(mbr) {
-                        stack.push((level - 1, lo + off));
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    /// Obstacles whose MBR lies within Euclidean distance `r` of `pos`.
-    fn query_disk(&self, rects: &[Rect], pos: Point, r: f64) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.visit(
-            rects,
-            |mbr| mbr.mindist_point_sq(pos) <= r * r,
-            |oi| {
-                out.push(oi);
-                false
-            },
-        );
-        out
-    }
-
-    /// Obstacles whose MBR lies within distance `r` of `pos` with an
-    /// angular span overlapping the CCW pseudo-angle interval `range`.
-    fn query_wedge(&self, rects: &[Rect], pos: Point, r: f64, range: (f64, f64)) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.visit(
-            rects,
-            |mbr| {
-                mbr.mindist_point_sq(pos) <= r * r
-                    && match rect_span(pos, mbr) {
-                        Some(span) => arc_overlap(range, span),
-                        None => true,
-                    }
-            },
-            |oi| {
-                out.push(oi);
-                false
-            },
-        );
-        out
-    }
-
-    /// Whether some obstacle MBR reaches beyond distance `r` of `pos`
-    /// inside the angular interval `range` (early-exit existence query).
-    fn wedge_reaches_beyond(&self, rects: &[Rect], pos: Point, r: f64, range: (f64, f64)) -> bool {
-        self.visit(
-            rects,
-            |mbr| {
-                mbr.maxdist_point(pos) > r
-                    && match rect_span(pos, mbr) {
-                        Some(span) => arc_overlap(range, span),
-                        None => true,
-                    }
-            },
-            |_| true,
-        )
     }
 }
 
@@ -1531,6 +1396,56 @@ mod tests {
         assert!(all.len() >= far.len());
         assert!(s.cache[q.0 as usize].pending.is_empty());
         s.validate(true).unwrap();
+    }
+
+    /// `visible_indexed` stops at the first blocking obstacle the index
+    /// yields; on a city it must agree with the linear scan everywhere,
+    /// degenerate segments included.
+    #[test]
+    fn indexed_visibility_agrees_with_the_linear_scan_on_a_city() {
+        use obstacle_datagen::{City, CityConfig};
+        use obstacle_geom::rng::{Rng, SeedableRng, SmallRng};
+        let city = City::generate(CityConfig::new(160, 7));
+        let mut s = LazyScene::new(EdgeBuilder::RotationalSweep);
+        for (i, poly) in city.obstacles.iter().enumerate() {
+            s.add_obstacle(poly.clone(), i as u64);
+        }
+        let u = city.universe;
+        let mut rng = SmallRng::seed_from_u64(0x5E6_0001);
+        let free = |rng: &mut SmallRng| {
+            Point::new(
+                u.min.x + rng.gen::<f64>() * u.width(),
+                u.min.y + rng.gen::<f64>() * u.height(),
+            )
+        };
+        let mut segments = Vec::new();
+        for _ in 0..1200 {
+            let (a, b) = (free(&mut rng), free(&mut rng));
+            segments.extend([(a, b), (a, a.lerp(b, 0.05)), (a, a)]);
+        }
+        for poly in &city.obstacles {
+            let v = poly.vertices();
+            let (p, q) = (v[0], v[1]);
+            let normal = Point::new(p.y - q.y, q.x - p.x);
+            let c = poly.bbox().center();
+            segments.extend([
+                (p, p),                            // zero length, on a vertex
+                (c, c),                            // zero length, inside
+                (p, q),                            // an edge
+                (p.lerp(q, -1.0), p.lerp(q, 2.0)), // collinear with it, past both ends
+                (p - normal, p + normal),          // through a vertex, across
+                (p, v[2]),                         // a diagonal
+                (p, p.lerp(v[2], 2.0)),            // ... on through the far corner
+            ]);
+        }
+        assert!(segments.len() >= 2000);
+        let mut blocked = 0;
+        for &(a, b) in &segments {
+            let linear = s.visible(a, b);
+            assert_eq!(s.visible_indexed(a, b), linear, "segment {a:?} → {b:?}");
+            blocked += usize::from(!linear);
+        }
+        assert!(blocked > 0 && blocked < segments.len(), "{blocked} blocked");
     }
 
     #[test]
