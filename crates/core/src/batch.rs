@@ -26,16 +26,16 @@
 //!   (like concurrent clients of one database buffer pool).
 //! * **Binary operators self-join** — a [`QueryEngine`] carries one
 //!   entity dataset, so `DistanceJoin`/`SemiJoin`/`ClosestPairs` run
-//!   `P × P`, the shape obstructed clustering workloads take. Batches
-//!   over two distinct datasets can call [`distance_join`] directly from
-//!   their own threads; everything here is reentrant.
+//!   `P × P`, the shape obstructed clustering workloads take. Two distinct
+//!   datasets call [`distance_join`](crate::distance_join) directly, which
+//!   fans its seeds out over this module's claim loop (`claim_loop`).
 
 use crate::closest_pair::closest_pairs;
 use crate::distance::LocalGraph;
 use crate::engine::{universe_of, EngineOptions, EntityIndex, ObstacleIndex, QueryEngine};
-use crate::join::distance_join;
+use crate::join::distance_join_on;
 use crate::path::shortest_obstructed_path_in;
-use crate::semi_join::{semi_join, SemiJoinStrategy};
+use crate::semi_join::{semi_join_on, SemiJoinStrategy};
 use crate::stats::{ClosestPairsResult, JoinResult, NearestResult, QueryStats, RangeResult};
 use obstacle_geom::{hilbert_index_unit, Point, Rect};
 use obstacle_visibility::PathResult;
@@ -415,19 +415,21 @@ impl<'a> QueryEngine<'a> {
                 to,
                 self.obstacles,
             )),
-            Query::DistanceJoin { e } => Answer::DistanceJoin(distance_join(
+            Query::DistanceJoin { e } => Answer::DistanceJoin(distance_join_on(
                 self.entities,
                 self.entities,
                 self.obstacles,
                 e,
                 self.options,
+                1,
             )),
-            Query::SemiJoin { strategy } => Answer::SemiJoin(semi_join(
+            Query::SemiJoin { strategy } => Answer::SemiJoin(semi_join_on(
                 self.entities,
                 self.entities,
                 self.obstacles,
                 strategy,
                 self.options,
+                1,
             )),
             Query::ClosestPairs { k } => Answer::ClosestPairs(closest_pairs(
                 self.entities,
@@ -551,54 +553,42 @@ impl BatchRequest<'_, '_> {
         let queries = self.queries;
         let threads = self.threads.clamp(1, queries.len().max(1));
         let order = engine.schedule_order(queries, self.schedule);
-        let cursor = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<(usize, Answer)>();
+        // `vec!` moves `tx` into the last slot: once every worker is done
+        // (or has panicked) the stream sees the channel close.
+        let senders = vec![tx; threads];
+        let stream = BatchStream {
+            rx,
+            remaining: queries.len(),
+        };
+        let (result, counts) = claim_loop(
+            order.len(),
+            senders,
+            |tx, claims| {
+                let mut cache = SceneCache::new(engine.options);
+                for slot in claims {
+                    let i = order[slot];
+                    let answer = engine.execute_with(&queries[i], &mut cache);
+                    // A closed channel means the consumer dropped the
+                    // stream: cancel the rest of the batch.
+                    if tx.send((i, answer)).is_err() {
+                        break;
+                    }
+                }
+                (cache.reuses(), cache.resets(), cache.invalidations())
+            },
+            Some(|| consumer(stream)),
+        );
         let mut stats = BatchStats {
             workers: threads,
             ..BatchStats::default()
         };
-        let result = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    let cursor = &cursor;
-                    let order = &order;
-                    let tx = tx.clone();
-                    scope.spawn(move || {
-                        let mut cache = SceneCache::new(engine.options);
-                        loop {
-                            let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                            if slot >= order.len() {
-                                break;
-                            }
-                            let i = order[slot];
-                            let answer = engine.execute_with(&queries[i], &mut cache);
-                            // A closed channel means the consumer dropped
-                            // the stream: cancel the rest of the batch.
-                            if tx.send((i, answer)).is_err() {
-                                break;
-                            }
-                        }
-                        (cache.reuses(), cache.resets(), cache.invalidations())
-                    })
-                })
-                .collect();
-            // The workers hold their own senders; dropping ours lets the
-            // stream observe end-of-batch through channel closure too.
-            drop(tx);
-            let stream = BatchStream {
-                rx,
-                remaining: queries.len(),
-            };
-            let result = consumer(stream);
-            for worker in workers {
-                let (reuses, resets, invalidations) = worker.join().expect("batch worker panicked");
-                stats.scene_reuses += reuses;
-                stats.scene_resets += resets;
-                stats.scene_invalidations += invalidations;
-            }
-            result
-        });
-        (result, stats)
+        for (reuses, resets, invalidations) in counts {
+            stats.scene_reuses += reuses;
+            stats.scene_resets += resets;
+            stats.scene_invalidations += invalidations;
+        }
+        (result.expect("a caller closure always runs"), stats)
     }
 
     /// Executes the request, invoking `on_answer(input_index, answer)` on
@@ -612,6 +602,61 @@ impl BatchRequest<'_, '_> {
         });
         stats
     }
+}
+
+/// The crate's one claim loop: one `worker(state, claims)` per state, all
+/// claiming `0..n` from one atomic cursor on `std::thread::scope` threads.
+/// With a `caller` closure (a stream consumer) the calling thread runs it
+/// beside one spawned thread per state; without one the calling thread is
+/// the first worker, so a single state runs inline and spawns nothing.
+pub(crate) fn claim_loop<S: Send, T: Send, R>(
+    n: usize,
+    states: Vec<S>,
+    worker: impl Fn(S, &mut dyn Iterator<Item = usize>) -> T + Sync,
+    caller: Option<impl FnOnce() -> R>,
+) -> (Option<R>, Vec<T>) {
+    let cursor = AtomicUsize::new(0);
+    let claim = || Some(cursor.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < n);
+    let run = |state| worker(state, &mut std::iter::from_fn(claim));
+    std::thread::scope(|scope| {
+        let mut states = states.into_iter();
+        let inline = caller.is_none().then(|| states.next()).flatten();
+        let spawned: Vec<_> = states.map(|s| scope.spawn(move || run(s))).collect();
+        let result = caller.map(|f| f());
+        let mut outputs: Vec<T> = inline.map(run).into_iter().collect();
+        outputs.extend(
+            spawned
+                .into_iter()
+                .map(|h| h.join().expect("claim-loop worker panicked")),
+        );
+        (result, outputs)
+    })
+}
+
+/// `work(i)` for every `i` in `0..n`, claimed by `workers` threads of the
+/// [`claim_loop`] with the calling thread among them (`1` runs inline),
+/// returned in index order whatever the interleaving.
+pub(crate) fn fan_out<T: Send>(
+    n: usize,
+    workers: usize,
+    work: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let states = vec![(); workers.clamp(1, n.max(1))];
+    let (_, parts) = claim_loop(
+        n,
+        states,
+        |(), claims| claims.map(|i| (i, work(i))).collect::<Vec<_>>(),
+        None::<fn()>,
+    );
+    let mut done: Vec<(usize, T)> = parts.into_iter().flatten().collect();
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, t)| t).collect()
+}
+
+/// Workers a direct dataset-wide call fans out over: one per core (batch
+/// and service workers pass 1 instead, [`QueryEngine::execute_with`]).
+pub(crate) fn direct_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Hilbert scheduling key of one query: the Hilbert index of its region's
@@ -955,6 +1000,62 @@ mod tests {
             assert!(a.same_results(&sequential[*i]));
         }
         assert!(stats.scene_reuses + stats.scene_resets <= queries.len());
+    }
+
+    #[test]
+    fn fan_out_returns_outputs_in_index_order() {
+        for workers in [0, 1, 2, 4, 64] {
+            let squares = fan_out(100, workers, |i| i * i);
+            assert_eq!(squares, (0..100).map(|i| i * i).collect::<Vec<_>>());
+        }
+        assert!(fan_out(0, 4, |i| i).is_empty());
+    }
+
+    /// The cost fields a fanned-out operator must reproduce exactly at
+    /// every worker count (`cpu` and the buffer hit/miss split may vary).
+    fn exact_costs(s: &QueryStats) -> ([usize; 5], [u64; 2]) {
+        (
+            [
+                s.distance_computations,
+                s.peak_graph_nodes,
+                s.candidates,
+                s.false_hits,
+                s.results,
+            ],
+            [s.entity_fetches, s.obstacle_fetches],
+        )
+    }
+
+    #[test]
+    fn direct_joins_are_identical_at_every_worker_count() {
+        let city = obstacle_datagen::City::generate(obstacle_datagen::CityConfig::new(400, 0x30));
+        let points = |seed| obstacle_datagen::sample_entities(&city, 150, seed);
+        let s = EntityIndex::build(RTreeConfig::tiny(8), points(0x31));
+        let t = EntityIndex::build(RTreeConfig::tiny(8), points(0x32));
+        let o = ObstacleIndex::build(RTreeConfig::tiny(8), city.obstacles.clone());
+        let options = EngineOptions::default();
+        let odj = |workers| distance_join_on(&s, &t, &o, 0.05, options, workers);
+        let semi =
+            |workers| semi_join_on(&s, &t, &o, SemiJoinStrategy::PerObjectNn, options, workers);
+        let operators: [(&str, &dyn Fn(usize) -> JoinResult); 2] = [("odj", &odj), ("semi", &semi)];
+        for (name, run) in operators {
+            let inline = run(1);
+            assert!(
+                inline.pairs.len() > 50,
+                "{name}: {} rows",
+                inline.pairs.len()
+            );
+            assert!(inline.stats.obstacle_fetches > 0);
+            for workers in [2, 4] {
+                let fanned = run(workers);
+                assert_eq!(fanned.pairs, inline.pairs, "{name} at {workers} workers");
+                assert_eq!(
+                    exact_costs(&fanned.stats),
+                    exact_costs(&inline.stats),
+                    "{name} at {workers} workers"
+                );
+            }
+        }
     }
 
     #[test]

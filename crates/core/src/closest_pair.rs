@@ -6,7 +6,7 @@ use crate::stats::{ClosestPairsResult, QueryStats};
 use crate::QUERY_TAG;
 use obstacle_geom::Point;
 use obstacle_rtree::sync::Stopwatch;
-use obstacle_rtree::{AnyTree, ClosestPairs, OrdF64, TreeBackend};
+use obstacle_rtree::{AnyTree, ClosestPairs, IoSnapshot, OrdF64, TreeBackend};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
@@ -83,13 +83,7 @@ pub fn closest_pairs(
         .filter(|pair| !answered.contains(pair))
         .count();
 
-    let mut entity_io = s_io.finish();
-    if let Some(t_io) = t_io {
-        let t_io = t_io.finish();
-        entity_io.reads += t_io.reads;
-        entity_io.buffer_hits += t_io.buffer_hits;
-        entity_io.writes += t_io.writes;
-    }
+    let entity_io = s_io.finish() + t_io.map(IoSnapshot::finish).unwrap_or_default();
     let obstacle_io = obstacle_io.finish();
     let stats = QueryStats {
         entity_reads: entity_io.reads,

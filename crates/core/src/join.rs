@@ -1,12 +1,13 @@
 //! Obstacle e-distance join (ODJ — §5, Fig. 10).
 
+use crate::batch::{direct_workers, fan_out};
 use crate::distance::{compute_obstructed_range, LocalGraph};
 use crate::engine::{EngineOptions, EntityIndex, ObstacleIndex};
 use crate::stats::{JoinResult, QueryStats};
 use crate::QUERY_TAG;
 use obstacle_geom::{hilbert_index_unit, Rect};
 use obstacle_rtree::sync::Stopwatch;
-use obstacle_rtree::TreeBackend;
+use obstacle_rtree::{IoSnapshot, TreeBackend};
 use obstacle_visibility::{NodeId, NodeKind};
 use std::collections::HashMap;
 
@@ -30,7 +31,8 @@ use std::collections::HashMap;
 ///    a local scene of the seed's own. A scene shared across seeds was
 ///    measured 1.1–2.8× slower (seeds are ~`e` apart and never repeat, so
 ///    the earlier seeds' obstacles cost more to classify against than
-///    their cached sweeps save; `CHANGES.md`, PR 22).
+///    their cached sweeps save; `CHANGES.md`, PR 22). A direct call
+///    spreads the seeds over one worker per core; rows keep their order.
 pub fn distance_join(
     s: &EntityIndex,
     t: &EntityIndex,
@@ -38,15 +40,28 @@ pub fn distance_join(
     e: f64,
     options: EngineOptions,
 ) -> JoinResult {
+    distance_join_on(s, t, obstacles, e, options, direct_workers())
+}
+
+/// [`distance_join`] with step 4's seeds claimed by `workers` threads of
+/// the batch engine's claim loop (`1`: inline, as batch workers run it).
+pub(crate) fn distance_join_on(
+    s: &EntityIndex,
+    t: &EntityIndex,
+    obstacles: &ObstacleIndex,
+    e: f64,
+    options: EngineOptions,
+    workers: usize,
+) -> JoinResult {
     let t0 = Stopwatch::start();
     let same_tree = std::ptr::eq(s, t);
     let s_io = s.tree().io_snapshot();
     let t_io = (!same_tree).then(|| t.tree().io_snapshot());
-    let obstacle_io = obstacles.tree().io_snapshot();
 
-    // Step 1: Euclidean candidates.
+    // Step 1: Euclidean candidates (the only entity-tree accesses).
     let candidate_pairs = obstacle_rtree::distance_join(s.tree(), t.tree(), e);
     let candidates = candidate_pairs.len();
+    let entity_io = s_io.finish() + t_io.map(IoSnapshot::finish).unwrap_or_default();
 
     // Step 2: choose the seed side.
     let mut s_partners: HashMap<u64, Vec<u64>> = HashMap::new();
@@ -84,53 +99,55 @@ pub fn distance_join(
     seeds.sort_by_cached_key(|&id| (hilbert_index_unit(seed_set.position(id), &universe), id));
 
     // Step 4: per-seed obstacle-range elimination, each seed on a local
-    // scene of its own (Fig. 10 as written).
-    let mut pairs = Vec::new();
-    let mut peak_graph_nodes = 0usize;
-    let mut distance_computations = 0usize;
-    for seed in seeds {
+    // scene of its own (Fig. 10 as written) and an obstacle-tree window
+    // on the thread that runs it, so the windows sum to the join's I/O.
+    let per_seed = fan_out(seeds.len(), workers, |rank| {
+        let seed = seeds[rank];
+        let obstacle_io = obstacles.tree().io_snapshot();
         let mut graph = LocalGraph::new(options.builder);
         let q_node = graph.add_waypoint(seed_set.position(seed), QUERY_TAG);
         let targets: Vec<NodeId> = groups[&seed]
             .iter()
             .map(|&pid| graph.add_waypoint(partner_set.position(pid), pid))
             .collect();
-        distance_computations += 1;
+        let mut rows = Vec::new();
         for (node, d) in compute_obstructed_range(&mut graph, q_node, &targets, obstacles, e) {
             if node == q_node {
                 continue;
             }
             if let NodeKind::Waypoint { tag } = graph.scene.kind(node) {
-                if seed_from_s {
-                    pairs.push((seed, tag, d));
+                rows.push(if seed_from_s {
+                    (seed, tag, d)
                 } else {
-                    pairs.push((tag, seed, d));
-                }
+                    (tag, seed, d)
+                });
             }
         }
-        peak_graph_nodes = peak_graph_nodes.max(graph.scene.node_count());
-    }
+        let io = obstacle_io.finish();
+        let stats = QueryStats {
+            obstacle_reads: io.reads,
+            obstacle_fetches: io.fetches(),
+            distance_computations: 1,
+            peak_graph_nodes: graph.scene.node_count(),
+            ..QueryStats::default()
+        };
+        (rows, stats)
+    });
 
-    let mut entity_io = s_io.finish();
-    if let Some(t_io) = t_io {
-        let t_io = t_io.finish();
-        entity_io.reads += t_io.reads;
-        entity_io.buffer_hits += t_io.buffer_hits;
-        entity_io.writes += t_io.writes;
-    }
-    let obstacle_io = obstacle_io.finish();
-    let stats = QueryStats {
+    let mut stats = QueryStats {
         entity_reads: entity_io.reads,
-        obstacle_reads: obstacle_io.reads,
         entity_fetches: entity_io.fetches(),
-        obstacle_fetches: obstacle_io.fetches(),
-        cpu: t0.elapsed(),
         candidates,
-        results: pairs.len(),
-        false_hits: candidates - pairs.len(),
-        distance_computations,
-        peak_graph_nodes,
+        ..QueryStats::default()
     };
+    let mut pairs = Vec::new();
+    for (rows, seed_stats) in per_seed {
+        pairs.extend(rows);
+        stats.accumulate(&seed_stats);
+    }
+    stats.cpu = t0.elapsed();
+    stats.results = pairs.len();
+    stats.false_hits = candidates - pairs.len();
     JoinResult { pairs, stats }
 }
 

@@ -5,15 +5,18 @@
 //! evaluation strategies: (i) one NN query per object of `S`, or (ii)
 //! consuming closest pairs incrementally until every `s` has appeared.
 //! Both are implemented here — under the obstructed metric — and verified
-//! against each other; (ii) is usually superior when `S` is small
-//! relative to the pair space, (i) when `S` is a small fraction of the
-//! total pair count.
+//! against each other. On the benchmark's database (|S′| = 200,
+//! |T| = 3 276, |O| = 32 768) (i) takes 22–26 ms and (ii) 1.57–1.79 s,
+//! ≈ 70× slower: (ii) computes the obstructed distance of every pair
+//! closer than the worst-served `s`'s neighbour. (ii) stays only as the
+//! cross-check until the enum goes (`ROADMAP.md`, item 7).
 
+use crate::batch::{direct_workers, fan_out};
 use crate::closest_pair::incremental_closest_pairs;
 use crate::engine::{EngineOptions, EntityIndex, ObstacleIndex, QueryEngine};
 use crate::stats::{JoinResult, QueryStats};
 use obstacle_rtree::sync::Stopwatch;
-use obstacle_rtree::TreeBackend;
+use obstacle_rtree::{IoSnapshot, TreeBackend};
 use std::collections::HashMap;
 
 /// Semi-join evaluation strategy.
@@ -29,7 +32,8 @@ pub enum SemiJoinStrategy {
 ///
 /// Returns `(s id, t id, obstructed distance)` triples sorted by `s` id;
 /// objects of `S` that cannot reach any `t` (entities sealed inside
-/// obstacles) are omitted.
+/// obstacles) are omitted. A direct call spreads the `PerObjectNn` probes
+/// over one worker per core; rows keep their order.
 pub fn semi_join(
     s: &EntityIndex,
     t: &EntityIndex,
@@ -37,30 +41,44 @@ pub fn semi_join(
     strategy: SemiJoinStrategy,
     options: EngineOptions,
 ) -> JoinResult {
+    semi_join_on(s, t, obstacles, strategy, options, direct_workers())
+}
+
+/// [`semi_join`] with the `PerObjectNn` probes claimed by `workers`
+/// threads of the batch engine's claim loop (`1`: inline, as batch workers run it).
+pub(crate) fn semi_join_on(
+    s: &EntityIndex,
+    t: &EntityIndex,
+    obstacles: &ObstacleIndex,
+    strategy: SemiJoinStrategy,
+    options: EngineOptions,
+    workers: usize,
+) -> JoinResult {
     let t0 = Stopwatch::start();
-    let same_tree = std::ptr::eq(s, t);
-    let s_io = s.tree().io_snapshot();
-    let t_io = (!same_tree).then(|| t.tree().io_snapshot());
-    let obstacle_io = obstacles.tree().io_snapshot();
-
+    let mut stats = QueryStats::default();
     let mut pairs: Vec<(u64, u64, f64)> = Vec::with_capacity(s.len());
-    let mut distance_computations = 0usize;
-
     match strategy {
         SemiJoinStrategy::PerObjectNn => {
+            // Probes attribute their own I/O on the thread that runs them
+            // (`S` is read from memory), so their stats sum to the join's;
+            // a false hit is a probe whose Euclidean NN is not its d_O NN.
             let engine = QueryEngine::with_options(t, obstacles, options);
-            for (sid, pos) in s.live_points() {
-                let r = engine.nearest(pos, 1);
-                distance_computations += r.stats.distance_computations;
+            let probes: Vec<(u64, _)> = s.live_points().collect();
+            let found = fan_out(probes.len(), workers, |i| engine.nearest(probes[i].1, 1));
+            for ((sid, _), r) in probes.into_iter().zip(found) {
+                stats.accumulate(&r.stats);
                 if let Some(&(tid, d)) = r.neighbors.first() {
                     pairs.push((sid, tid, d));
                 }
             }
         }
         SemiJoinStrategy::IncrementalClosestPairs => {
+            let s_io = s.tree().io_snapshot();
+            let t_io = (!std::ptr::eq(s, t)).then(|| t.tree().io_snapshot());
+            let obstacle_io = obstacles.tree().io_snapshot();
             let mut best: HashMap<u64, (u64, f64)> = HashMap::with_capacity(s.len());
             for (sid, tid, d) in incremental_closest_pairs(s, t, obstacles, options) {
-                distance_computations += 1;
+                stats.distance_computations += 1;
                 // Pairs arrive in ascending obstructed distance, so the
                 // first pair mentioning `sid` is its nearest neighbour.
                 best.entry(sid).or_insert((tid, d));
@@ -69,30 +87,18 @@ pub fn semi_join(
                 }
             }
             pairs.extend(best.into_iter().map(|(sid, (tid, d))| (sid, tid, d)));
+            pairs.sort_by_key(|&(sid, _, _)| sid);
+            let entity_io = s_io.finish() + t_io.map(IoSnapshot::finish).unwrap_or_default();
+            let obstacle_io = obstacle_io.finish();
+            stats.entity_reads = entity_io.reads;
+            stats.obstacle_reads = obstacle_io.reads;
+            stats.entity_fetches = entity_io.fetches();
+            stats.obstacle_fetches = obstacle_io.fetches();
+            stats.candidates = s.len();
+            stats.results = pairs.len();
         }
     }
-    pairs.sort_by_key(|&(sid, _, _)| sid);
-
-    let mut entity_io = s_io.finish();
-    if let Some(t_io) = t_io {
-        let t_io = t_io.finish();
-        entity_io.reads += t_io.reads;
-        entity_io.buffer_hits += t_io.buffer_hits;
-        entity_io.writes += t_io.writes;
-    }
-    let obstacle_io = obstacle_io.finish();
-    let stats = QueryStats {
-        entity_reads: entity_io.reads,
-        obstacle_reads: obstacle_io.reads,
-        entity_fetches: entity_io.fetches(),
-        obstacle_fetches: obstacle_io.fetches(),
-        cpu: t0.elapsed(),
-        candidates: s.len(),
-        results: pairs.len(),
-        false_hits: 0,
-        distance_computations,
-        peak_graph_nodes: 0,
-    };
+    stats.cpu = t0.elapsed();
     JoinResult { pairs, stats }
 }
 
@@ -166,6 +172,35 @@ mod tests {
         let s1 = &r.pairs[1];
         assert_eq!(s1.1, 1);
         assert!((s1.2 - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn probe_stats_count_the_fig1_false_hit() {
+        // The paper's Fig. 1: from q = (0, 0), a is the Euclidean NN but a
+        // wall blocks it, so b is the obstructed NN and a is a false hit.
+        let s = EntityIndex::build(RTreeConfig::tiny(4), vec![Point::new(0.0, 0.0)]);
+        let t = EntityIndex::build(
+            RTreeConfig::tiny(4),
+            vec![Point::new(2.0, 0.0), Point::new(0.0, 2.2)],
+        );
+        let o = ObstacleIndex::build(
+            RTreeConfig::tiny(4),
+            vec![Polygon::from_rect(Rect::from_coords(1.0, -2.0, 1.2, 2.0))],
+        );
+        let r = semi_join(
+            &s,
+            &t,
+            &o,
+            SemiJoinStrategy::PerObjectNn,
+            EngineOptions::default(),
+        );
+        assert_eq!(r.pairs.len(), 1);
+        assert_eq!((r.pairs[0].0, r.pairs[0].1), (0, 1), "b wins under d_O");
+        assert!((r.pairs[0].2 - 2.2).abs() < 1e-12);
+        assert_eq!(r.stats.false_hits, 1);
+        assert_eq!(r.stats.candidates, 2, "both Euclidean candidates examined");
+        assert_eq!(r.stats.distance_computations, 2);
+        assert!(r.stats.peak_graph_nodes > 0);
     }
 
     #[test]

@@ -41,7 +41,10 @@ pub struct QueryStats {
     /// Logical page fetches on the obstacle R-tree (hits + misses; node
     /// visits on the packed backend).
     pub obstacle_fetches: u64,
-    /// CPU (wall-clock) time spent processing the query.
+    /// CPU (wall-clock) time spent processing the query. For an operator
+    /// that fans out over several workers (a direct `distance_join` or
+    /// `semi_join` call) this is the elapsed time, not CPU summed over
+    /// the workers.
     pub cpu: Duration,
     /// Euclidean candidates examined.
     pub candidates: usize,
@@ -57,7 +60,7 @@ pub struct QueryStats {
     /// query runs over a reused scene (`SceneCache` — batch and service
     /// workers), it reports the whole *resident* scene, obstacles
     /// absorbed by earlier queries included. A join reports its largest
-    /// single-seed scene.
+    /// single-seed scene, a semi-join its largest single-probe scene.
     pub peak_graph_nodes: usize,
 }
 

@@ -1,8 +1,12 @@
 //! Batch determinism and I/O-accounting exactness under concurrency:
 //! workers of `engine.batch(..)` share both R-trees' buffer pools and keep
-//! per-worker cross-query scene caches.
+//! per-worker cross-query scene caches, and direct dataset-wide joins fan
+//! their seeds and probes out over one worker per core.
 
-use obstacle_core::{Answer, EntityIndex, ObstacleIndex, Query, QueryEngine};
+use obstacle_core::{
+    distance_join, semi_join, Answer, EngineOptions, EntityIndex, JoinResult, ObstacleIndex, Query,
+    QueryEngine, SemiJoinStrategy,
+};
 use obstacle_datagen::{query_workload, sample_entities, City, CityConfig};
 use obstacle_rtree::{RTreeConfig, TreeBackend};
 
@@ -91,4 +95,49 @@ fn per_query_io_windows_cover_the_global_aggregate_exactly() {
             "{threads} threads: obstacle windows vs global"
         );
     }
+}
+
+#[test]
+fn direct_joins_fan_out_with_exact_io_and_inline_rows() {
+    // A direct `distance_join` / `semi_join` spreads its seeds or probes
+    // over one worker per core, each attributing its own page accesses:
+    // the operator's summed windows must equal the trees' global deltas
+    // (nothing counted twice, nothing missed), and its rows must equal
+    // the inline run a batch worker makes through `engine.execute`.
+    let (entities, obstacles, city) = world();
+    let others = EntityIndex::build(RTreeConfig::tiny(8), sample_entities(&city, 64, 0x5748));
+    let options = EngineOptions::default();
+    let odj = || distance_join(&entities, &others, &obstacles, 0.08, options);
+    let semi = || {
+        let strategy = SemiJoinStrategy::PerObjectNn;
+        semi_join(&entities, &others, &obstacles, strategy, options)
+    };
+    let operators: [(&str, &dyn Fn() -> JoinResult); 2] = [("odj", &odj), ("semi", &semi)];
+    for (name, run) in operators {
+        for tree in [entities.tree(), others.tree(), obstacles.tree()] {
+            tree.reset_io_stats();
+        }
+        let r = run();
+        assert!(!r.pairs.is_empty(), "{name}: no rows");
+        assert_eq!(
+            r.stats.entity_fetches,
+            entities.tree().io_stats().fetches() + others.tree().io_stats().fetches(),
+            "{name}: entity windows vs global"
+        );
+        assert_eq!(
+            r.stats.obstacle_fetches,
+            obstacles.tree().io_stats().fetches(),
+            "{name}: obstacle windows vs global"
+        );
+        assert!(r.stats.obstacle_fetches > 0, "{name}: no obstacle accesses");
+    }
+
+    // `Query` joins are self-joins over the engine's entity dataset.
+    let engine = QueryEngine::new(&entities, &obstacles);
+    let e = 0.08;
+    let strategy = SemiJoinStrategy::PerObjectNn;
+    let direct = distance_join(&entities, &entities, &obstacles, e, options);
+    assert!(Answer::DistanceJoin(direct).same_results(&engine.execute(&Query::DistanceJoin { e })));
+    let direct = semi_join(&entities, &entities, &obstacles, strategy, options);
+    assert!(Answer::SemiJoin(direct).same_results(&engine.execute(&Query::SemiJoin { strategy })));
 }

@@ -31,6 +31,17 @@ impl IoStats {
     }
 }
 
+impl std::ops::Add for IoStats {
+    type Output = IoStats;
+    fn add(self, rhs: IoStats) -> IoStats {
+        IoStats {
+            reads: self.reads + rhs.reads,
+            buffer_hits: self.buffer_hits + rhs.buffer_hits,
+            writes: self.writes + rhs.writes,
+        }
+    }
+}
+
 impl std::ops::Sub for IoStats {
     type Output = IoStats;
     fn sub(self, rhs: IoStats) -> IoStats {
