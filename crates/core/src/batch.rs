@@ -32,7 +32,7 @@
 
 use crate::closest_pair::closest_pairs;
 use crate::distance::LocalGraph;
-use crate::engine::{universe_of, EngineOptions, EntityIndex, ObstacleIndex, QueryEngine};
+use crate::engine::{EngineOptions, EntityIndex, ObstacleIndex, QueryEngine};
 use crate::join::distance_join_on;
 use crate::path::shortest_obstructed_path_in;
 use crate::semi_join::{semi_join_on, SemiJoinStrategy};
@@ -356,13 +356,6 @@ impl SceneCache {
         0.02 * universe.min.dist(universe.max)
     }
 
-    /// [`SceneCache::slack_for`] the working universe of `obstacles`
-    /// and, when the caller has one, `entities` ([`universe_of`]): the
-    /// one slack every scene user validates and coalesces with.
-    pub(crate) fn slack_over(obstacles: &ObstacleIndex, entities: Option<&EntityIndex>) -> f64 {
-        SceneCache::slack_for(&universe_of(obstacles, entities))
-    }
-
     /// The cached scene, positioned for a query covering `region`; the
     /// scene is retired first unless it is fresh, within budget, and its
     /// coverage lies within `slack` of the region.
@@ -398,7 +391,7 @@ impl<'a> QueryEngine<'a> {
     /// operators (range, NN, path) run over the cache's reusable scene,
     /// the dataset-wide operators manage their own.
     pub fn execute_with(&self, query: &Query, cache: &mut SceneCache) -> Answer {
-        let slack = SceneCache::slack_over(self.obstacles, Some(self.entities));
+        let slack = SceneCache::slack_for(&self.universe());
         cache.validate(self.obstacles, slack);
         match *query {
             Query::Range { q, e } => {

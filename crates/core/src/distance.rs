@@ -17,10 +17,11 @@
 //! `|x−p| + |x−q| ≤ d` rather than the paper's disk around `q` — the one
 //! documented deviation from Fig. 8 (see [`compute_obstructed_path`]).
 
-use crate::engine::ObstacleIndex;
+use crate::engine::{universe_of, ObstacleIndex};
+use crate::QUERY_TAG;
 use obstacle_geom::{Point, Rect};
 use obstacle_rtree::TreeBackend;
-use obstacle_visibility::{EdgeBuilder, LazyScene, NodeId, PathResult};
+use obstacle_visibility::{EdgeBuilder, LazyScene, NodeId, NodeKind, PathResult};
 use std::collections::HashSet;
 
 /// A lazy visibility scene plus the set of obstacle ids it contains.
@@ -237,7 +238,7 @@ pub fn compute_obstructed_path(
     // the worst case. Absorbing a modestly larger region is cheap (pure
     // classification bookkeeping, no edges); a cache-cold A* rerun is
     // not.
-    let universe = obstacles.universe();
+    let universe = universe_of(obstacles, &[]);
     let typical_diag = (universe.area() / obstacles.len().max(1) as f64).sqrt();
     let mut prefetch = (2.0 * typical_diag).max(1e-3 * euclid);
     // Every absorbed obstacle has MBR bound ≤ t, hence `mindist(MBR, q)
@@ -280,40 +281,61 @@ pub fn compute_obstructed_path(
     }
 }
 
-/// All nodes within obstructed distance `e` of `q` over the lazy scene —
-/// the engine of the OR range query (Fig. 5), with visibility computed on
-/// demand instead of materializing the local graph.
+/// The OR step of Fig. 5, shared by the range query and every ODJ seed
+/// (§5, Fig. 10): the `targets` within obstructed distance `e` of `q`.
 ///
-/// Unlike the point-to-point fixpoint of
-/// [`compute_obstructed_path`], the certified region is known up
-/// front: any path of length ≤ `e` from `q` stays inside the disk of
-/// radius `e`, so a single R-tree range absorbs every obstacle that can
-/// influence the result, and one bounded Dijkstra expansion settles nodes
-/// in ascending obstructed distance, sweeping only from nodes it actually
-/// pops (see [`LazyScene::bounded_expansion`]). `targets` are the
-/// candidate entity waypoints; settled targets are reported with their
-/// distances (ascending), unreachable or out-of-range ones are omitted.
+/// `q` and the targets are added to `graph` as waypoints. Unlike the
+/// point-to-point fixpoint of [`compute_obstructed_path`], the certified
+/// region is known up front: any path of length ≤ `e` from `q` stays
+/// inside the disk of radius `e`, so a single R-tree range absorbs every
+/// obstacle that can influence the result. One bounded Dijkstra
+/// expansion then settles nodes in ascending obstructed distance,
+/// sweeping only from nodes it actually pops (see
+/// [`LazyScene::bounded_expansion`]).
+///
+/// Returns the settled targets as `(tag, distance)`, ascending
+/// (unreachable and out-of-range targets are omitted), and the scene's
+/// node count while the waypoints are present: the query's
+/// `peak_graph_nodes`. The waypoints are removed again before returning,
+/// so a reused `graph` keeps only obstacles and cached sweeps.
 pub fn compute_obstructed_range(
     graph: &mut LocalGraph,
-    q: NodeId,
-    targets: &[NodeId],
+    q: Point,
+    targets: impl IntoIterator<Item = (Point, u64)>,
     obstacles: &ObstacleIndex,
     e: f64,
-) -> Vec<(NodeId, f64)> {
+) -> (Vec<(u64, f64)>, usize) {
     obstacle_rtree::sync::assert_unlocked("LazyScene sweep (obstructed range)");
-    let q_pos = graph.scene.position(q);
-    let items = obstacles.tree().range_circle(q_pos, e);
-    graph.note_region(Rect::from_point(q_pos).expanded(e));
+    let q_node = graph.add_waypoint(q, QUERY_TAG);
+    let targets: Vec<NodeId> = targets
+        .into_iter()
+        .map(|(p, tag)| graph.add_waypoint(p, tag))
+        .collect();
+    let items = obstacles.tree().range_circle(q, e);
+    graph.note_region(Rect::from_point(q).expanded(e));
     graph.absorb(obstacles, items);
-    graph.scene.bounded_expansion(q, e, targets)
+    // A fresh vector, not an in-place collect of `settled`: the two
+    // element types share a layout, so collecting in place would keep
+    // every settled node's capacity alive in the caller's result.
+    let mut hits = Vec::new();
+    for (node, d) in graph.scene.bounded_expansion(q_node, e, &targets) {
+        match graph.scene.kind(node) {
+            NodeKind::Waypoint { tag } if node != q_node => hits.push((tag, d)),
+            _ => {}
+        }
+    }
+    let nodes = graph.scene.node_count();
+    for t in targets {
+        graph.remove_waypoint(t);
+    }
+    graph.remove_waypoint(q_node);
+    (hits, nodes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ObstacleIndex;
-    use crate::QUERY_TAG;
-    use obstacle_geom::{Polygon, Rect};
+    use obstacle_geom::Polygon;
     use obstacle_rtree::RTreeConfig;
 
     fn square(x0: f64, y0: f64, x1: f64, y1: f64) -> Polygon {

@@ -1,6 +1,7 @@
 //! Indexed datasets and the query engine facade.
 //!
-//! Both indexes are **dynamic**: `insert`/`delete`/[`EntityIndex::apply_edits`]
+//! Entities and obstacles are one [`Dataset`] type over two [`Shape`]s.
+//! Both are **dynamic**: `insert`/`delete`/[`Dataset::apply_edits`]
 //! mutate the tree in place, retire id slots by tombstone (ids are never
 //! reused), and advance a per-index **update epoch**. Every epoch window
 //! records the union bounding box of its edits (the *dirty rect*), which
@@ -20,96 +21,83 @@ use obstacle_visibility::EdgeBuilder;
 /// stamped inside the merged range, never under-invalidate).
 const DIRTY_LOG_CAP: usize = 1024;
 
-/// Shared bookkeeping of a dynamic index: the update epoch and the
-/// per-epoch dirty-rect log (ascending by epoch).
-#[derive(Debug, Default)]
-struct EpochLog {
-    epoch: u64,
-    dirty: Vec<(u64, Rect)>,
+/// A geometry a [`Dataset`] stores: the tree indexes its MBR.
+pub trait Shape {
+    /// The rectangle the tree indexes (degenerate for a point).
+    fn mbr(&self) -> Rect;
 }
 
-impl EpochLog {
-    /// Opens a new epoch window covering `dirty` and returns the new
-    /// epoch number.
-    fn commit(&mut self, dirty: Rect) -> u64 {
-        self.epoch += 1;
-        self.dirty.push((self.epoch, dirty));
-        if self.dirty.len() > DIRTY_LOG_CAP {
-            let half = self.dirty.len() / 2;
-            let merged_epoch = self.dirty[half - 1].0;
-            let merged = self.dirty[..half]
-                .iter()
-                .fold(Rect::empty(), |u, (_, r)| u.union(r));
-            self.dirty.splice(..half, [(merged_epoch, merged)]);
-        }
-        self.epoch
-    }
-
-    /// Whether any edit recorded after epoch `since` touched `region`.
-    fn intersects_since(&self, since: u64, region: &Rect) -> bool {
-        self.dirty
-            .iter()
-            .rev()
-            .take_while(|(e, _)| *e > since)
-            .any(|(_, r)| r.intersects(region))
+impl Shape for Point {
+    fn mbr(&self) -> Rect {
+        Rect::from_point(*self)
     }
 }
 
-/// An entity dataset (points of interest) with its tree index.
+impl Shape for Polygon {
+    fn mbr(&self) -> Rect {
+        self.bbox()
+    }
+}
+
+/// An indexed, editable dataset: the shapes, a tree over their MBRs,
+/// tombstones and the epoch / dirty-rect log. Entities
+/// ([`EntityIndex`]) and obstacles ([`ObstacleIndex`]) are its two
+/// instantiations, as the paper indexes both with the same R*-tree.
 ///
 /// The storage backend (the paper's paged R*-tree or the packed static
 /// tree) is chosen by `config.backend` at build time; every operator runs
-/// on either.
+/// on either. Obstacle edits additionally matter to every cached
+/// visibility scene, which is why the epoch / dirty-rect log exists (see
+/// the module docs).
 #[derive(Debug)]
-pub struct EntityIndex {
+pub struct Dataset<T> {
     tree: AnyTree,
-    points: Vec<Point>,
+    items: Vec<T>,
     /// Tombstones: `live[id]` is false once `id` has been deleted. The
-    /// point stays in `points` so `position` keeps answering for retired
-    /// ids, but no public iterator or query ever returns them.
+    /// shape stays in `items` so `position` / `polygon` keep answering
+    /// for retired ids, but no public iterator or query ever returns
+    /// them.
     live: Vec<bool>,
     live_count: usize,
-    log: EpochLog,
+    epoch: u64,
+    /// The per-epoch dirty-rect log, ascending by epoch.
+    dirty: Vec<(u64, Rect)>,
 }
 
-impl EntityIndex {
-    /// Indexes `points` by one-by-one R* insertion (the paper's setup).
+/// An entity dataset (points of interest) with its tree index.
+pub type EntityIndex = Dataset<Point>;
+
+/// The obstacle dataset (simple polygons) with its tree index over MBRs.
+pub type ObstacleIndex = Dataset<Polygon>;
+
+impl<T: Shape> Dataset<T> {
+    /// Indexes `items` by one-by-one R* insertion (the paper's setup).
     /// On the packed backend this is the same Hilbert pack as
-    /// [`EntityIndex::bulk_load`] — a static structure has one build path.
-    pub fn build(config: RTreeConfig, points: Vec<Point>) -> Self {
-        let tree = AnyTree::build(
-            config,
-            points
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| Item::point(p, i as u64)),
-        );
-        Self::fresh(tree, points)
+    /// [`Dataset::bulk_load`] — a static structure has one build path.
+    pub fn build(config: RTreeConfig, items: Vec<T>) -> Self {
+        let tree = AnyTree::build(config, Self::tree_items(&items));
+        Self::fresh(tree, items)
     }
 
-    /// Indexes `points` by bulk loading (paged: STR; packed: Hilbert
-    /// pack; used by large-scale benchmarks).
-    pub fn bulk_load(config: RTreeConfig, points: Vec<Point>) -> Self {
-        let tree = AnyTree::bulk_load(
-            config,
-            points
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| Item::point(p, i as u64))
-                .collect(),
-        );
-        Self::fresh(tree, points)
+    /// Indexes `items` by bulk loading (paged: STR; packed: Hilbert pack;
+    /// used by large-scale benchmarks).
+    pub fn bulk_load(config: RTreeConfig, items: Vec<T>) -> Self {
+        let tree = AnyTree::bulk_load(config, Self::tree_items(&items).collect());
+        Self::fresh(tree, items)
     }
 
-    fn fresh(tree: AnyTree, points: Vec<Point>) -> Self {
-        let live = vec![true; points.len()];
-        let live_count = points.len();
-        EntityIndex {
+    fn tree_items(items: &[T]) -> impl Iterator<Item = Item> + '_ {
+        (0u64..).zip(items).map(|(id, t)| Item::new(t.mbr(), id))
+    }
+
+    fn fresh(tree: AnyTree, items: Vec<T>) -> Self {
+        Dataset {
             tree,
-            points,
-            live,
-            live_count,
-            log: EpochLog::default(),
+            live: vec![true; items.len()],
+            live_count: items.len(),
+            items,
+            epoch: 0,
+            dirty: Vec::new(),
         }
     }
 
@@ -118,39 +106,31 @@ impl EntityIndex {
         &self.tree
     }
 
-    /// Position of entity `id` (answers for retired ids too — deleted
-    /// slots keep their last position).
-    pub fn position(&self, id: u64) -> Point {
-        self.points[id as usize]
-    }
-
-    /// Whether entity `id` exists and has not been deleted.
+    /// Whether `id` exists and has not been deleted.
     pub fn is_live(&self, id: u64) -> bool {
         self.live.get(id as usize).copied().unwrap_or(false)
     }
 
-    /// All live entities as `(id, position)`, in id order. Deleted slots
-    /// are skipped — this is the only sanctioned way to enumerate the
-    /// dataset (a raw slice would resurrect tombstoned ids).
-    pub fn live_points(&self) -> impl Iterator<Item = (u64, Point)> + '_ {
-        self.points
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.live[*i])
-            .map(|(i, &p)| (i as u64, p))
+    /// Live `(id, shape)` pairs in id order: the one tombstone filter
+    /// behind `live_points` / `live_polygons`.
+    fn live_items(&self) -> impl Iterator<Item = (u64, &T)> + '_ {
+        (0u64..)
+            .zip(&self.items)
+            .filter(|&(id, _)| self.live[id as usize])
     }
 
-    /// Number of live entities (deletes decrement this).
+    /// Number of live items (deletes decrement this).
     pub fn len(&self) -> usize {
         self.live_count
     }
 
-    /// Whether the dataset holds no live entities.
+    /// Whether the dataset holds no live items.
     pub fn is_empty(&self) -> bool {
         self.live_count == 0
     }
 
-    /// Bounding rectangle of the live entities, or `None` when empty.
+    /// Bounding rectangle of the live items, or `None` when the set is
+    /// (or has become, via deletes) empty.
     pub fn extent(&self) -> Option<Rect> {
         (!self.tree.is_empty()).then(|| self.tree.root_mbr())
     }
@@ -158,240 +138,111 @@ impl EntityIndex {
     /// Current update epoch (0 for a freshly built index; each committed
     /// edit batch advances it by exactly 1).
     pub fn epoch(&self) -> u64 {
-        self.log.epoch
+        self.epoch
     }
 
     /// Whether any edit committed after epoch `since` touched `region`.
+    /// For obstacles this is the scene-invalidation predicate: a cached
+    /// scene stamped `(since, region)` must be retired iff this returns
+    /// true for its slack-inflated region.
     pub fn dirty_intersects(&self, since: u64, region: &Rect) -> bool {
-        self.log.intersects_since(since, region)
+        self.dirty
+            .iter()
+            .rev()
+            .take_while(|(e, _)| *e > since)
+            .any(|(_, r)| r.intersects(region))
     }
 
-    /// Inserts a new entity and returns its id. Updates are the reason
-    /// the paper builds visibility graphs on-line instead of
-    /// materialising them (§2.4) — the R-tree absorbs the insert and
-    /// every subsequent query sees the new entity with no rebuild.
-    /// On the packed backend a single insert re-packs the tree
-    /// (O(n log n) — batch edits through [`EntityIndex::apply_edits`]).
-    pub fn insert(&mut self, p: Point) -> u64 {
-        let (ids, _) = self.apply_edits(&[p], &[]);
-        ids[0]
+    /// Inserts one item and returns its id. Updates are the reason the
+    /// paper builds visibility graphs on-line instead of materialising
+    /// them (§2.4): the R-tree absorbs the insert and every later query
+    /// sees it with no rebuild. On the packed backend a single insert
+    /// re-packs the tree (O(n log n) — batch edits through
+    /// [`Dataset::apply_edits`]).
+    pub fn insert(&mut self, item: T) -> u64 {
+        self.apply_edits(vec![item], &[]).0[0]
     }
 
-    /// Deletes an entity by id. Returns whether it was present and live.
-    /// The id slot is retired (never reused); `position` keeps answering
-    /// for retired ids but no query will return them.
+    /// Deletes an item by id. Returns whether it was present and live.
+    /// The id slot is retired (never reused).
     pub fn delete(&mut self, id: u64) -> bool {
-        self.apply_edits(&[], &[id]).1 == 1
+        self.apply_edits(Vec::new(), &[id]).1 == 1
     }
 
     /// Applies a batch of edits in one epoch: tombstones every live id in
     /// `deletes`, then inserts all of `inserts` (fresh ids, returned in
     /// order). The tree absorbs the whole batch at once — one re-pack on
     /// the packed backend — and the epoch advances by exactly 1 when the
-    /// batch changed anything, with the batch's union bbox as the dirty
-    /// rect. Returns `(inserted ids, live deletes performed)`.
-    pub fn apply_edits(&mut self, inserts: &[Point], deletes: &[u64]) -> (Vec<u64>, usize) {
+    /// batch changed anything, with the union of the deleted and inserted
+    /// MBRs as the dirty rect. Returns `(inserted ids, live deletes
+    /// performed)`.
+    pub fn apply_edits(&mut self, inserts: Vec<T>, deletes: &[u64]) -> (Vec<u64>, usize) {
         let mut dirty = Rect::empty();
         let mut del_items = Vec::new();
         for &id in deletes {
-            let i = id as usize;
-            if i < self.points.len() && self.live[i] {
-                self.live[i] = false;
+            if self.is_live(id) {
+                self.live[id as usize] = false;
                 self.live_count -= 1;
-                let p = self.points[i];
-                del_items.push(Item::point(p, id));
-                dirty = dirty.union(&Rect::from_point(p));
+                let mbr = self.items[id as usize].mbr();
+                del_items.push(Item::new(mbr, id));
+                dirty = dirty.union(&mbr);
             }
         }
         let mut ids = Vec::with_capacity(inserts.len());
         let mut ins_items = Vec::with_capacity(inserts.len());
-        for &p in inserts {
-            let id = self.points.len() as u64;
-            self.points.push(p);
+        for item in inserts {
+            let id = self.items.len() as u64;
+            let mbr = item.mbr();
+            self.items.push(item);
             self.live.push(true);
             self.live_count += 1;
             ids.push(id);
-            ins_items.push(Item::point(p, id));
-            dirty = dirty.union(&Rect::from_point(p));
+            ins_items.push(Item::new(mbr, id));
+            dirty = dirty.union(&mbr);
         }
         let removed = del_items.len();
         if removed > 0 || !ins_items.is_empty() {
             self.tree.apply_edits(ins_items, &del_items);
-            self.log.commit(dirty);
+            self.epoch += 1;
+            self.dirty.push((self.epoch, dirty));
+            if self.dirty.len() > DIRTY_LOG_CAP {
+                let half = self.dirty.len() / 2;
+                let merged_epoch = self.dirty[half - 1].0;
+                let merged = self.dirty[..half]
+                    .iter()
+                    .fold(Rect::empty(), |u, (_, r)| u.union(r));
+                self.dirty.splice(..half, [(merged_epoch, merged)]);
+            }
         }
         (ids, removed)
     }
 }
 
-/// The obstacle dataset (simple polygons) with its tree index over MBRs.
-///
-/// Dynamic like [`EntityIndex`]; obstacle edits additionally matter to
-/// every cached visibility scene, which is why the epoch/dirty-rect log
-/// exists (see the module docs).
-#[derive(Debug)]
-pub struct ObstacleIndex {
-    tree: AnyTree,
-    polygons: Vec<Polygon>,
-    /// Tombstones — see [`EntityIndex`].
-    live: Vec<bool>,
-    live_count: usize,
-    log: EpochLog,
+impl EntityIndex {
+    /// Position of entity `id` (answers for retired ids too — deleted
+    /// slots keep their last position).
+    pub fn position(&self, id: u64) -> Point {
+        self.items[id as usize]
+    }
+
+    /// All live entities as `(id, position)`, in id order. Deleted slots
+    /// are skipped — this is the only sanctioned way to enumerate the
+    /// dataset (a raw slice would resurrect tombstoned ids).
+    pub fn live_points(&self) -> impl Iterator<Item = (u64, Point)> + '_ {
+        self.live_items().map(|(id, &p)| (id, p))
+    }
 }
 
 impl ObstacleIndex {
-    /// Indexes `polygons` by one-by-one R* insertion (packed backend:
-    /// Hilbert pack, see [`EntityIndex::build`]).
-    pub fn build(config: RTreeConfig, polygons: Vec<Polygon>) -> Self {
-        let tree = AnyTree::build(
-            config,
-            polygons
-                .iter()
-                .enumerate()
-                .map(|(i, p)| Item::new(p.bbox(), i as u64)),
-        );
-        Self::fresh(tree, polygons)
-    }
-
-    /// Indexes `polygons` by bulk loading (paged: STR; packed: Hilbert
-    /// pack).
-    pub fn bulk_load(config: RTreeConfig, polygons: Vec<Polygon>) -> Self {
-        let tree = AnyTree::bulk_load(
-            config,
-            polygons
-                .iter()
-                .enumerate()
-                .map(|(i, p)| Item::new(p.bbox(), i as u64))
-                .collect(),
-        );
-        Self::fresh(tree, polygons)
-    }
-
-    fn fresh(tree: AnyTree, polygons: Vec<Polygon>) -> Self {
-        let live = vec![true; polygons.len()];
-        let live_count = polygons.len();
-        ObstacleIndex {
-            tree,
-            polygons,
-            live,
-            live_count,
-            log: EpochLog::default(),
-        }
-    }
-
-    /// The underlying tree index (indexes obstacle MBRs).
-    pub fn tree(&self) -> &AnyTree {
-        &self.tree
-    }
-
     /// The polygon of obstacle `id` (answers for retired ids too).
     pub fn polygon(&self, id: u64) -> &Polygon {
-        &self.polygons[id as usize]
-    }
-
-    /// Whether obstacle `id` exists and has not been deleted.
-    pub fn is_live(&self, id: u64) -> bool {
-        self.live.get(id as usize).copied().unwrap_or(false)
+        &self.items[id as usize]
     }
 
     /// All live obstacles as `(id, polygon)`, in id order. Deleted slots
     /// are skipped — the only sanctioned enumeration of the dataset.
     pub fn live_polygons(&self) -> impl Iterator<Item = (u64, &Polygon)> + '_ {
-        self.polygons
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.live[*i])
-            .map(|(i, p)| (i as u64, p))
-    }
-
-    /// Number of live obstacles (deletes decrement this).
-    pub fn len(&self) -> usize {
-        self.live_count
-    }
-
-    /// Whether the dataset holds no live obstacles.
-    pub fn is_empty(&self) -> bool {
-        self.live_count == 0
-    }
-
-    /// Bounding rectangle of the live obstacles, or `None` when the set
-    /// is (or has become, via deletes) empty.
-    pub fn extent(&self) -> Option<Rect> {
-        (!self.tree.is_empty()).then(|| self.tree.root_mbr())
-    }
-
-    /// A rectangle covering the whole obstacle dataset, with a unit-square
-    /// fallback when empty. Prefer [`QueryEngine::universe`], which falls
-    /// back to the *entity* extent first — Hilbert scheduling over this
-    /// unit square would clamp every real-coordinate query to one corner
-    /// cell.
-    pub fn universe(&self) -> Rect {
-        self.extent()
-            .unwrap_or_else(|| Rect::from_coords(0.0, 0.0, 1.0, 1.0))
-    }
-
-    /// Current update epoch (see [`EntityIndex::epoch`]).
-    pub fn epoch(&self) -> u64 {
-        self.log.epoch
-    }
-
-    /// Whether any edit committed after epoch `since` touched `region`.
-    /// This is the scene-invalidation predicate: a cached scene stamped
-    /// `(since, region)` must be retired iff this returns true for its
-    /// slack-inflated region.
-    pub fn dirty_intersects(&self, since: u64, region: &Rect) -> bool {
-        self.log.intersects_since(since, region)
-    }
-
-    /// Inserts a new obstacle and returns its id. Queries issued after
-    /// the insert immediately respect the new obstacle — the paper's
-    /// argument for on-line local visibility graphs (§2.4). On the packed
-    /// backend a single insert re-packs the tree (batch edits through
-    /// [`ObstacleIndex::apply_edits`]).
-    pub fn insert(&mut self, polygon: Polygon) -> u64 {
-        let (ids, _) = self.apply_edits(vec![polygon], &[]);
-        ids[0]
-    }
-
-    /// Deletes an obstacle by id. Returns whether it was present and
-    /// live. The id slot is retired (never reused).
-    pub fn delete(&mut self, id: u64) -> bool {
-        self.apply_edits(Vec::new(), &[id]).1 == 1
-    }
-
-    /// Applies a batch of edits in one epoch — the obstacle-side analogue
-    /// of [`EntityIndex::apply_edits`]. Dirty rect: union of deleted and
-    /// inserted polygon bboxes. Returns `(inserted ids, live deletes)`.
-    pub fn apply_edits(&mut self, inserts: Vec<Polygon>, deletes: &[u64]) -> (Vec<u64>, usize) {
-        let mut dirty = Rect::empty();
-        let mut del_items = Vec::new();
-        for &id in deletes {
-            let i = id as usize;
-            if i < self.polygons.len() && self.live[i] {
-                self.live[i] = false;
-                self.live_count -= 1;
-                let bbox = self.polygons[i].bbox();
-                del_items.push(Item::new(bbox, id));
-                dirty = dirty.union(&bbox);
-            }
-        }
-        let mut ids = Vec::with_capacity(inserts.len());
-        let mut ins_items = Vec::with_capacity(inserts.len());
-        for polygon in inserts {
-            let id = self.polygons.len() as u64;
-            let bbox = polygon.bbox();
-            self.polygons.push(polygon);
-            self.live.push(true);
-            self.live_count += 1;
-            ids.push(id);
-            ins_items.push(Item::new(bbox, id));
-            dirty = dirty.union(&bbox);
-        }
-        let removed = del_items.len();
-        if removed > 0 || !ins_items.is_empty() {
-            self.tree.apply_edits(ins_items, &del_items);
-            self.log.commit(dirty);
-        }
-        (ids, removed)
+        self.live_items()
     }
 }
 
@@ -454,22 +305,30 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// The working universe: obstacle extent, falling back to the entity
-    /// extent, then to the unit square. Hilbert scheduling and the
-    /// scene-reuse slack are computed over this rect — falling back to
-    /// the unit square while queries carry real coordinates would clamp
-    /// every Hilbert key to one corner cell.
+    /// The working universe: the obstacle extent, else the entity
+    /// extent, else the unit square.
     pub fn universe(&self) -> Rect {
-        universe_of(self.obstacles, Some(self.entities))
+        universe_of(self.obstacles, &[self.entities])
     }
 }
 
-/// [`QueryEngine::universe`] for callers that may have no entity dataset
-/// (the free path functions): the one definition of the fallback chain.
-pub(crate) fn universe_of(obstacles: &ObstacleIndex, entities: Option<&EntityIndex>) -> Rect {
+/// The one working-universe fallback chain: the obstacle extent, else the
+/// union of the `entities` extents, else the unit square. Hilbert orders
+/// (the batch and service schedules, ODJ's seeds), the scene-reuse slack
+/// and Fig. 8's prefetch sizing are computed over this rect. Falling back
+/// to the unit square while the data carry real coordinates would clamp
+/// every Hilbert key to one corner cell. [`QueryEngine::universe`] passes
+/// its entity dataset, ODJ both of its inputs, and the path functions
+/// none.
+pub(crate) fn universe_of(obstacles: &ObstacleIndex, entities: &[&EntityIndex]) -> Rect {
     obstacles
         .extent()
-        .or_else(|| entities.and_then(EntityIndex::extent))
+        .or_else(|| {
+            entities
+                .iter()
+                .filter_map(|d| d.extent())
+                .reduce(|a, b| a.union(&b))
+        })
         .unwrap_or_else(|| Rect::from_coords(0.0, 0.0, 1.0, 1.0))
 }
 
@@ -500,7 +359,10 @@ mod tests {
         let idx = ObstacleIndex::build(RTreeConfig::tiny(4), polys.clone());
         assert_eq!(idx.len(), 2);
         assert_eq!(idx.polygon(0), &polys[0]);
-        assert_eq!(idx.universe(), Rect::from_coords(0.0, 0.0, 0.6, 0.9));
+        assert_eq!(
+            universe_of(&idx, &[]),
+            Rect::from_coords(0.0, 0.0, 0.6, 0.9)
+        );
         assert_eq!(idx.epoch(), 0);
     }
 
@@ -512,12 +374,13 @@ mod tests {
         );
     }
 
-    #[test]
-    fn edits_advance_epoch_and_record_dirty_rects() {
-        let polys = vec![Polygon::from_rect(Rect::from_coords(0.0, 0.0, 0.2, 0.1))];
-        let mut idx = ObstacleIndex::build(RTreeConfig::tiny(4), polys);
+    /// The edit contract of [`Dataset`], run on both instantiations:
+    /// `shape(r)` makes an item whose MBR lies inside `r`.
+    fn edits_advance_epoch_and_record_dirty_rects_on<T: Shape>(shape: fn(Rect) -> T) {
+        let first = shape(Rect::from_coords(0.0, 0.0, 0.2, 0.1));
+        let mut idx = Dataset::build(RTreeConfig::tiny(4), vec![first]);
         let far = Rect::from_coords(5.0, 5.0, 5.2, 5.2);
-        let id = idx.insert(Polygon::from_rect(far));
+        let id = idx.insert(shape(far));
         assert_eq!(idx.epoch(), 1);
         assert!(idx.dirty_intersects(0, &far));
         assert!(!idx.dirty_intersects(1, &far), "nothing after epoch 1");
@@ -531,9 +394,15 @@ mod tests {
     }
 
     #[test]
-    fn batched_edits_commit_one_epoch() {
-        let mut idx = EntityIndex::build(RTreeConfig::tiny(4), vec![Point::new(0.0, 0.0)]);
-        let (ids, removed) = idx.apply_edits(&[Point::new(1.0, 1.0), Point::new(2.0, 2.0)], &[0]);
+    fn edits_advance_epoch_and_record_dirty_rects() {
+        edits_advance_epoch_and_record_dirty_rects_on(|r| r.min);
+        edits_advance_epoch_and_record_dirty_rects_on(Polygon::from_rect);
+    }
+
+    fn batched_edits_commit_one_epoch_on<T: Shape>(shape: fn(Rect) -> T) {
+        let at = |x: f64| shape(Rect::from_coords(x, x, x + 0.5, x + 0.5));
+        let mut idx = Dataset::build(RTreeConfig::tiny(4), vec![at(0.0)]);
+        let (ids, removed) = idx.apply_edits(vec![at(1.0), at(2.0)], &[0]);
         assert_eq!(ids, vec![1, 2]);
         assert_eq!(removed, 1);
         assert_eq!(idx.epoch(), 1, "one epoch for the whole batch");
@@ -541,9 +410,15 @@ mod tests {
         assert!(!idx.is_live(0));
         assert!(idx.is_live(2));
         assert_eq!(
-            idx.live_points().map(|(id, _)| id).collect::<Vec<_>>(),
+            idx.live_items().map(|(id, _)| id).collect::<Vec<_>>(),
             vec![1, 2]
         );
+    }
+
+    #[test]
+    fn batched_edits_commit_one_epoch() {
+        batched_edits_commit_one_epoch_on(|r| r.min);
+        batched_edits_commit_one_epoch_on(Polygon::from_rect);
     }
 
     #[test]
@@ -553,7 +428,7 @@ mod tests {
         for i in 0..(DIRTY_LOG_CAP + 200) {
             idx.insert(Point::new(i as f64, 0.0));
         }
-        assert!(idx.log.dirty.len() <= DIRTY_LOG_CAP + 1);
+        assert!(idx.dirty.len() <= DIRTY_LOG_CAP + 1);
         // Every early edit is still visible to a stale observer (merged,
         // not dropped).
         assert!(idx.dirty_intersects(0, &Rect::from_coords(-0.5, -0.5, 0.5, 0.5)));

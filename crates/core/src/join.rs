@@ -2,13 +2,11 @@
 
 use crate::batch::{direct_workers, fan_out};
 use crate::distance::{compute_obstructed_range, LocalGraph};
-use crate::engine::{EngineOptions, EntityIndex, ObstacleIndex};
+use crate::engine::{universe_of, EngineOptions, EntityIndex, ObstacleIndex};
 use crate::stats::{JoinResult, QueryStats};
-use crate::QUERY_TAG;
-use obstacle_geom::{hilbert_index_unit, Rect};
+use obstacle_geom::hilbert_index_unit;
 use obstacle_rtree::sync::Stopwatch;
 use obstacle_rtree::{IoSnapshot, TreeBackend};
-use obstacle_visibility::{NodeId, NodeKind};
 use std::collections::HashMap;
 
 /// All pairs `(s, t) ∈ S × T` with obstructed distance at most `e`.
@@ -82,19 +80,12 @@ pub(crate) fn distance_join_on(
     };
     let (seed_set, partner_set) = if seed_from_s { (s, t) } else { (t, s) };
 
-    // Step 3: Hilbert-order the seeds for obstacle-buffer locality.
-    // Falling back to the entity extent (then the unit square) keeps the
-    // Hilbert order meaningful when the obstacle set is empty or has been
-    // emptied by deletes — an empty tree must not collapse every seed key
-    // to the unit-square clamp. The id breaks ties inside one Hilbert
-    // cell: `groups` iterates in hash order, which must not reach `pairs`.
-    let universe = obstacles
-        .extent()
-        .or_else(|| match (s.extent(), t.extent()) {
-            (Some(a), Some(b)) => Some(a.union(&b)),
-            (a, b) => a.or(b),
-        })
-        .unwrap_or_else(|| Rect::from_coords(0.0, 0.0, 1.0, 1.0));
+    // Step 3: Hilbert-order the seeds for obstacle-buffer locality, over
+    // a universe that falls back to the two entity extents when the
+    // obstacle set is empty or has been emptied by deletes. The id breaks
+    // ties inside one Hilbert cell: `groups` iterates in hash order,
+    // which must not reach `pairs`.
+    let universe = universe_of(obstacles, &[s, t]);
     let mut seeds: Vec<u64> = groups.keys().copied().collect();
     seeds.sort_by_cached_key(|&id| (hilbert_index_unit(seed_set.position(id), &universe), id));
 
@@ -104,31 +95,29 @@ pub(crate) fn distance_join_on(
     let per_seed = fan_out(seeds.len(), workers, |rank| {
         let seed = seeds[rank];
         let obstacle_io = obstacles.tree().io_snapshot();
-        let mut graph = LocalGraph::new(options.builder);
-        let q_node = graph.add_waypoint(seed_set.position(seed), QUERY_TAG);
-        let targets: Vec<NodeId> = groups[&seed]
+        let partners = groups[&seed]
             .iter()
-            .map(|&pid| graph.add_waypoint(partner_set.position(pid), pid))
-            .collect();
-        let mut rows = Vec::new();
-        for (node, d) in compute_obstructed_range(&mut graph, q_node, &targets, obstacles, e) {
-            if node == q_node {
-                continue;
-            }
-            if let NodeKind::Waypoint { tag } = graph.scene.kind(node) {
-                rows.push(if seed_from_s {
-                    (seed, tag, d)
+            .map(|&pid| (partner_set.position(pid), pid));
+        let mut graph = LocalGraph::new(options.builder);
+        let q = seed_set.position(seed);
+        let (hits, peak_graph_nodes) =
+            compute_obstructed_range(&mut graph, q, partners, obstacles, e);
+        let rows: Vec<_> = hits
+            .into_iter()
+            .map(|(pid, d)| {
+                if seed_from_s {
+                    (seed, pid, d)
                 } else {
-                    (tag, seed, d)
-                });
-            }
-        }
+                    (pid, seed, d)
+                }
+            })
+            .collect();
         let io = obstacle_io.finish();
         let stats = QueryStats {
             obstacle_reads: io.reads,
             obstacle_fetches: io.fetches(),
             distance_computations: 1,
-            peak_graph_nodes: graph.scene.node_count(),
+            peak_graph_nodes,
             ..QueryStats::default()
         };
         (rows, stats)
@@ -215,7 +204,7 @@ mod tests {
             .map(|(a, b, c, d)| Polygon::from_rect(Rect::from_coords(a, b, c, d)));
         let o = ObstacleIndex::build(RTreeConfig::tiny(4), corners.to_vec());
         let s_pts = vec![Point::new(0.5, 0.5), Point::new(0.5 + 1e-7, 0.5)];
-        let universe = o.universe();
+        let universe = universe_of(&o, &[]);
         assert_eq!(
             hilbert_index_unit(s_pts[0], &universe),
             hilbert_index_unit(s_pts[1], &universe)

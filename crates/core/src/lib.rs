@@ -82,7 +82,7 @@ pub use closest_pair::{closest_pairs, incremental_closest_pairs, IncrementalClos
 pub use distance::{
     compute_obstructed_distance, compute_obstructed_path, compute_obstructed_range, LocalGraph,
 };
-pub use engine::{EngineOptions, EntityIndex, ObstacleIndex, QueryEngine};
+pub use engine::{Dataset, EngineOptions, EntityIndex, ObstacleIndex, QueryEngine, Shape};
 pub use join::distance_join;
 pub use nn::IncrementalNearest;
 pub use path::{close_rel, shortest_obstructed_path, shortest_obstructed_path_in};

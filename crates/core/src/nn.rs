@@ -41,7 +41,7 @@ impl<'a> QueryEngine<'a> {
     /// ([`LocalGraph::sync`], before any waypoint is added) — see
     /// [`QueryEngine::range_in`].
     pub fn nearest_in(&self, graph: &mut LocalGraph, q: Point, k: usize) -> NearestResult {
-        let slack = crate::batch::SceneCache::slack_over(self.obstacles, Some(self.entities));
+        let slack = crate::batch::SceneCache::slack_for(&self.universe());
         graph.sync(self.obstacles, slack);
         let t0 = Stopwatch::start();
         let entity_io = self.entities.tree().io_snapshot();

@@ -9,7 +9,7 @@
 //! `path_scaling` test, `ci.sh path`).
 
 use crate::distance::{compute_obstructed_path, LocalGraph};
-use crate::engine::{ObstacleIndex, QueryEngine};
+use crate::engine::{universe_of, ObstacleIndex, QueryEngine};
 use crate::QUERY_TAG;
 use obstacle_geom::Point;
 use obstacle_visibility::{EdgeBuilder, PathResult};
@@ -57,10 +57,8 @@ pub fn shortest_obstructed_path_in(
     b: Point,
     obstacles: &ObstacleIndex,
 ) -> Option<PathResult> {
-    g.sync(
-        obstacles,
-        crate::batch::SceneCache::slack_over(obstacles, None),
-    );
+    let slack = crate::batch::SceneCache::slack_for(&universe_of(obstacles, &[]));
+    g.sync(obstacles, slack);
     let na = g.add_waypoint(a, 0);
     let nb = g.add_waypoint(b, QUERY_TAG);
     let path = compute_obstructed_path(g, na, nb, obstacles);

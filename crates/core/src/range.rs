@@ -1,13 +1,12 @@
 //! Obstacle range query (OR — §3, Fig. 5).
 
+use crate::batch::SceneCache;
 use crate::distance::{compute_obstructed_range, LocalGraph};
 use crate::engine::QueryEngine;
 use crate::stats::{QueryStats, RangeResult};
-use crate::QUERY_TAG;
 use obstacle_geom::Point;
 use obstacle_rtree::sync::Stopwatch;
 use obstacle_rtree::TreeBackend;
-use obstacle_visibility::{NodeId, NodeKind};
 
 impl QueryEngine<'_> {
     /// All entities within **obstructed** distance `e` of `q`, with their
@@ -47,8 +46,7 @@ impl QueryEngine<'_> {
     /// since its last sync dirtied a rect intersecting its region, the
     /// scene is retired, so answers always reflect the live obstacle set.
     pub fn range_in(&self, graph: &mut LocalGraph, q: Point, e: f64) -> RangeResult {
-        let slack = crate::batch::SceneCache::slack_over(self.obstacles, Some(self.entities));
-        graph.sync(self.obstacles, slack);
+        graph.sync(self.obstacles, SceneCache::slack_for(&self.universe()));
         let t0 = Stopwatch::start();
         let entity_io = self.entities.tree().io_snapshot();
         let obstacle_io = self.obstacles.tree().io_snapshot();
@@ -56,29 +54,13 @@ impl QueryEngine<'_> {
         // Step 1: candidate entities by the Euclidean lower bound.
         let candidates = self.entities.tree().range_circle(q, e);
 
-        let mut hits = Vec::new();
-        let mut peak_graph_nodes = 0;
-        if !candidates.is_empty() {
-            // Steps 2-3: lazy multi-target expansion from q at radius e.
-            let q_node = graph.add_waypoint(q, QUERY_TAG);
-            let targets: Vec<NodeId> = candidates
-                .iter()
-                .map(|item| graph.add_waypoint(item.mbr.min, item.id))
-                .collect();
-            for (node, d) in compute_obstructed_range(graph, q_node, &targets, self.obstacles, e) {
-                if node == q_node {
-                    continue;
-                }
-                if let NodeKind::Waypoint { tag } = graph.scene.kind(node) {
-                    hits.push((tag, d));
-                }
-            }
-            peak_graph_nodes = graph.scene.node_count();
-            for t in targets {
-                graph.remove_waypoint(t);
-            }
-            graph.remove_waypoint(q_node);
-        }
+        // Steps 2-3: lazy multi-target expansion from q at radius e.
+        let (hits, peak_graph_nodes) = if candidates.is_empty() {
+            (Vec::new(), 0)
+        } else {
+            let targets = candidates.iter().map(|item| (item.mbr.min, item.id));
+            compute_obstructed_range(graph, q, targets, self.obstacles, e)
+        };
 
         let entity_io = entity_io.finish();
         let obstacle_io = obstacle_io.finish();

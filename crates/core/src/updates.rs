@@ -3,9 +3,9 @@
 //! [`QueryEngine::apply_updates`] is the batch entry point for live map
 //! edits (the production scenario: road closures and construction under
 //! query traffic). It splits a heterogeneous edit list per index and
-//! commits each side as **one** [`EntityIndex::apply_edits`] /
-//! [`ObstacleIndex::apply_edits`] batch: one epoch bump and — on the
-//! packed backend — one tree re-pack per index, instead of one per edit.
+//! commits each side as **one** [`Dataset::apply_edits`](crate::Dataset::apply_edits)
+//! batch: one epoch bump and — on the packed backend — one tree re-pack
+//! per index, instead of one per edit.
 //!
 //! Edits are applied deletes-first within each index (so a batch may
 //! delete an id and insert a replacement polygon at a fresh id), and the
@@ -80,7 +80,7 @@ impl QueryEngine<'_> {
         }
         let requested = poly_del.len() + pt_del.len();
         let (inserted_obstacles, deleted_obstacles) = obstacles.apply_edits(poly_ins, &poly_del);
-        let (inserted_entities, deleted_entities) = entities.apply_edits(&pt_ins, &pt_del);
+        let (inserted_entities, deleted_entities) = entities.apply_edits(pt_ins, &pt_del);
         UpdateStats {
             inserted_obstacles,
             inserted_entities,
