@@ -31,6 +31,8 @@
 #   sanitize optional ThreadSanitizer smoke run of the sync-shim tests;
 #           auto-skipped (with a message) when the toolchain lacks
 #           -Zsanitizer support (stable rustc)
+#   doc     rustdoc with warnings denied: broken or private intra-doc
+#           links fail the gate
 #   fmt     cargo fmt --check
 #   clippy  cargo clippy --all-targets -D warnings
 #
@@ -39,7 +41,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(build test path batch updates serve benchmark analyze sanitize fmt clippy)
+ALL_STAGES=(build test path batch updates serve benchmark analyze sanitize doc fmt clippy)
 STAGES=("$@")
 if [ ${#STAGES[@]} -eq 0 ]; then
   STAGES=("${ALL_STAGES[@]}")
@@ -177,6 +179,10 @@ stage_sanitize() {
   fi
 }
 
+stage_doc() {
+  RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+}
+
 stage_fmt() {
   cargo fmt --all --check
 }
@@ -189,7 +195,7 @@ stage_clippy() {
 # must not cost a full release build first.
 for s in "${STAGES[@]}"; do
   case "$s" in
-    build|test|path|batch|updates|serve|benchmark|analyze|sanitize|fmt|clippy) ;;
+    build|test|path|batch|updates|serve|benchmark|analyze|sanitize|doc|fmt|clippy) ;;
     *)
       echo "ci.sh: unknown stage '$s' (stages: ${ALL_STAGES[*]})" >&2
       exit 2

@@ -1,10 +1,10 @@
 //! Spatial query processing in the presence of obstacles — the primary
 //! contribution of Zhang, Papadias, Mouratidis, Zhu (EDBT 2004).
 //!
-//! Given entity datasets and an obstacle dataset, all indexed by
-//! disk-model R*-trees, this crate answers the four query types of the
-//! paper under the **obstructed distance** metric `d_O` (length of the
-//! shortest path avoiding all obstacle interiors):
+//! Entity and obstacle datasets are one editable [`Dataset`] type over
+//! points and polygons, indexed by disk-model R*-trees. This crate
+//! answers the paper's queries over them under the **obstructed
+//! distance** `d_O` (the shortest path length avoiding obstacle interiors):
 //!
 //! | Query | Entry point | Paper |
 //! |---|---|---|
@@ -25,11 +25,11 @@
 //!    queries produce candidate supersets which are then refined;
 //! 2. **local visibility scenes** built on-line from only the obstacles
 //!    that can influence the result, grown iteratively by
-//!    [`compute_obstructed_distance`] (Fig. 8) until provably sufficient —
-//!    and explored *lazily*: distances come from A\* guided by the
-//!    Euclidean heuristic over an on-demand successor oracle
-//!    ([`obstacle_visibility::LazyScene`]), so only the corridor the
-//!    shortest path actually touches ever pays for visibility sweeps.
+//!    [`compute_obstructed_distance`] (Fig. 8) until provably sufficient,
+//!    or in one disk by [`compute_obstructed_range`] (the OR step of
+//!    Fig. 5, shared by every ODJ seed) — and explored *lazily* by A\* or
+//!    Dijkstra over an on-demand successor oracle ([`obstacle_visibility::LazyScene`]),
+//!    so only the nodes a search settles ever pay for visibility sweeps.
 //!
 //! Every query returns a [`QueryStats`] with the paper's cost metrics:
 //! R-tree page accesses split by tree (logical fetches and buffer

@@ -208,3 +208,65 @@ fn very_large_k_on_obstructed_scene_is_complete() {
         }
     }
 }
+
+/// Coordinates and radii are caller input, and every operator must answer
+/// non-finite ones without panicking. No finite path reaches a point at
+/// ±∞ or NaN, so such a path is `None` and such a range or ONN query
+/// finds no entity.
+#[test]
+fn non_finite_inputs_answer_without_panicking() {
+    use obstacle_core::{Answer, Query, SemiJoinStrategy};
+    let entities = EntityIndex::build(
+        RTreeConfig::tiny(4),
+        vec![
+            Point::new(0.1, 0.1),
+            Point::new(0.9, 0.9),
+            Point::new(0.5, 0.2),
+            Point::new(0.2, 0.8),
+        ],
+    );
+    let obstacles = ObstacleIndex::build(RTreeConfig::tiny(4), vec![square(0.3, 0.3, 0.6, 0.6)]);
+    let engine = QueryEngine::new(&entities, &obstacles);
+    let finite = Point::new(0.2, 0.5);
+    let radii = [f64::NAN, -1.0, f64::INFINITY];
+    let bad_points: Vec<Point> = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN]
+        .into_iter()
+        .flat_map(|v| [Point::new(v, 0.5), Point::new(0.5, v), Point::new(v, v)])
+        .collect();
+    for &q in &bad_points {
+        for e in radii.into_iter().chain([0.5]) {
+            match engine.execute(&Query::Range { q, e }) {
+                Answer::Range(r) => assert!(r.hits.is_empty(), "{q:?}, e = {e}: {:?}", r.hits),
+                other => panic!("range answered {other:?}"),
+            }
+        }
+        match engine.execute(&Query::Nearest { q, k: 2 }) {
+            Answer::Nearest(r) => assert!(r.neighbors.is_empty(), "{q:?}: {:?}", r.neighbors),
+            other => panic!("nearest answered {other:?}"),
+        }
+        for (from, to) in [(q, finite), (finite, q), (q, q)] {
+            match engine.execute(&Query::Path { from, to }) {
+                Answer::Path(path) => assert!(path.is_none(), "{from:?} → {to:?}: {path:?}"),
+                other => panic!("path answered {other:?}"),
+            }
+        }
+    }
+    // The dataset-wide operators take no coordinates, only `e`.
+    for e in radii {
+        let answer = engine.execute(&Query::DistanceJoin { e });
+        assert!(matches!(answer, Answer::DistanceJoin(_)), "e = {e}");
+    }
+    for strategy in [
+        SemiJoinStrategy::PerObjectNn,
+        SemiJoinStrategy::IncrementalClosestPairs,
+    ] {
+        assert!(matches!(
+            engine.execute(&Query::SemiJoin { strategy }),
+            Answer::SemiJoin(_)
+        ));
+    }
+    assert!(matches!(
+        engine.execute(&Query::ClosestPairs { k: 2 }),
+        Answer::ClosestPairs(_)
+    ));
+}

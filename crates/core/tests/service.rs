@@ -15,6 +15,8 @@
 //! * **Claim order**: a paused-then-resumed single-worker service
 //!   answers in the batch engine's Hilbert schedule order — the live
 //!   queue and the static scheduler share one key space.
+//! * **Non-finite input**: a query at ±∞ is answered, and its worker
+//!   keeps serving.
 //! * **Panicking body**: `run` closes the queue while unwinding, so the
 //!   panic reaches the caller instead of parking the workers forever.
 
@@ -345,6 +347,48 @@ fn paused_queue_drains_in_hilbert_claim_order() {
             .collect::<Vec<_>>()
     });
     assert_eq!(run.output, expected);
+}
+
+/// A query at a non-finite coordinate is answered like any other, and
+/// the worker that ran it goes on serving.
+#[test]
+fn non_finite_queries_are_answered_and_the_worker_keeps_serving() {
+    let (entities, obstacles) = build_world(Backend::Paged);
+    let queries = [
+        Query::Nearest {
+            q: Point::new(f64::INFINITY, 0.0),
+            k: 2,
+        },
+        Query::Path {
+            from: Point::new(f64::NEG_INFINITY, 0.5),
+            to: Point::new(0.5, 0.5),
+        },
+        submitter_queries(0)[0],
+    ];
+    let cfg = ServiceConfig::default().workers(1).queue_depth(4);
+    let run = QueryService::run(entities, obstacles, EngineOptions::default(), cfg, |svc| {
+        queries
+            .iter()
+            .map(|&q| {
+                let id = svc.submit(q).expect("admits").detach();
+                let c = svc
+                    .recv_timeout(Duration::from_secs(30))
+                    .expect("the worker answers instead of dying");
+                assert_eq!(c.id, id);
+                c.outcome.answer().cloned().expect("answered")
+            })
+            .collect::<Vec<_>>()
+    });
+    match &run.output[0] {
+        Answer::Nearest(r) => assert!(r.neighbors.is_empty()),
+        other => panic!("nearest answered {other:?}"),
+    }
+    assert!(matches!(run.output[1], Answer::Path(None)));
+    match &run.output[2] {
+        Answer::Nearest(r) => assert_eq!(r.neighbors.len(), 3),
+        other => panic!("nearest answered {other:?}"),
+    }
+    assert_eq!(run.stats.answered, 3);
 }
 
 #[test]

@@ -142,7 +142,7 @@ impl Rect {
 
     /// `mindist(p, R)`: the smallest Euclidean distance from `p` to any
     /// point of the rectangle. Zero when `p` is inside. This is the
-    /// lower-bound metric driving best-first NN search [HS99].
+    /// lower-bound metric driving best-first NN search \[HS99\].
     pub fn mindist_point(&self, p: Point) -> f64 {
         self.mindist_point_sq(p).sqrt()
     }

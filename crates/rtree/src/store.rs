@@ -64,7 +64,7 @@ thread_local! {
 
 /// Per-query I/O attribution window over one tree's page accesses.
 ///
-/// The tree-global counters ([`PageStore::stats`]) are shared by every
+/// The tree-global counters (`PageStore::stats`) are shared by every
 /// query of every thread, so before/after deltas silently misattribute
 /// reads the moment two queries interleave. A snapshot instead registers a
 /// **thread-local** recorder keyed by the store's address: page accesses
@@ -78,7 +78,7 @@ thread_local! {
 /// the thread that opened it (queries do not migrate threads here).
 ///
 /// Windows are keyed by the watched backend's *address*, not by a concrete
-/// store type: the paged [`PageStore`] and the packed backend both feed the
+/// store type: the paged `PageStore` and the packed backend both feed the
 /// same recorder list, so per-query attribution works identically across
 /// backends.
 #[derive(Debug)]

@@ -7,7 +7,7 @@
 //!
 //! In a [`LazyScene`] obstacles are registered **without any edge
 //! computation** (only the pivot-independent point classifications of
-//! [`sweep::classify`] are maintained), and successor edges come into
+//! `sweep::classify` are maintained), and successor edges come into
 //! existence on demand — when A\* pops a node from its frontier, *then*
 //! one rotational sweep from that node computes its visible set. Guided
 //! by the Euclidean heuristic (admissible and consistent, since
@@ -477,6 +477,9 @@ impl LazyScene {
     /// order full expansion closes them; only the order their edges are
     /// *generated* in differs, so an equal-length tie goes to the
     /// predecessor that closed first — the one full expansion keeps.
+    ///
+    /// No path of finite length reaches a point at ±∞ or NaN, so an
+    /// endpoint with a non-finite coordinate is unreachable.
     pub fn astar(&mut self, from: NodeId, to: NodeId) -> Option<PathResult> {
         let fp = self.nodes[from.0 as usize].pos;
         let tp = self.nodes[to.0 as usize].pos;
@@ -485,6 +488,9 @@ impl LazyScene {
                 distance: 0.0,
                 points: vec![fp],
             });
+        }
+        if !(fp.is_finite() && tp.is_finite()) {
+            return None;
         }
 
         // Edges *into* the target. Vertex successor lists only contain
