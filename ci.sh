@@ -22,8 +22,10 @@
 #           compiling against the public API and answering correctly:
 #           its own fmt/clippy/unit-test check, then a short untraced run
 #           of every workload, each of which must end with
-#           "correct": true (release; numbers from these short runs are
-#           not performance claims)
+#           "correct": true, then scattered / clustered / joins at seed 1
+#           for 0.1 s, whose answer checksums must equal the values
+#           pinned below (release; numbers from these short runs are not
+#           performance claims)
 #   analyze in-tree static analysis: obstacle_lint must report the
 #           workspace clean across all four invariant passes, and the
 #           debug lock-order-cycle / held-lock-across-sweep checker
@@ -125,6 +127,31 @@ benchmark_run() {
   }
 }
 
+# Answer checksums of the deterministic workloads at seed 1, --seconds
+# 0.1. That short a run does exactly one pass per query chunk (4), and
+# joins hashes its first round, so the hash does not depend on machine
+# speed. The in-run checks compare the engine only with itself (fresh
+# scenes, the other backend); these pins also catch a change that moves
+# every backend alike on the 32 k-obstacle city. A change meant to move
+# answers edits the pins in the same diff.
+BENCHMARK_CHECKSUMS=(
+  scattered:2782f389305e77bb
+  clustered:457accd78c48bb94
+  joins:ef78e2fd4d6c4d51
+)
+
+benchmark_checksum() {
+  local workload="${1%%:*}" want="${1#*:}" out got
+  out="$(bash benchmark/run.sh --workload "$workload" --seed 1 --seconds 0.1 --trace 0)" || true
+  got="$(echo "$out" | grep -oE 'checksum [0-9a-f]{16}' | head -n 1 | cut -d' ' -f2)"
+  if [ "$got" != "$want" ]; then
+    echo "$out"
+    echo "benchmark: $workload checksum ${got:-missing}, pinned $want" >&2
+    exit 1
+  fi
+  echo "benchmark: $workload checksum $got (pinned)"
+}
+
 stage_benchmark() {
   # benchmark/ is a package of its own (not a workspace member), so
   # nothing above compiles it: an API change that breaks it, or a wrong
@@ -146,6 +173,9 @@ stage_benchmark() {
   # the data alone and on per-seed scenes.
   benchmark_run joins 2
   benchmark_run service_churn 5
+  for pin in "${BENCHMARK_CHECKSUMS[@]}"; do
+    benchmark_checksum "$pin"
+  done
 }
 
 stage_analyze() {

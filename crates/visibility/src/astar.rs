@@ -45,7 +45,9 @@
 use crate::dijkstra::PathResult;
 use crate::graph::{NodeId, NodeKind, ObstacleId};
 use crate::sweep::{self, PointClass};
-use obstacle_geom::{pseudo_angle, OrdF64, PackedIndex, Point, Polygon, Rect, Segment};
+use obstacle_geom::{
+    orient2d, pseudo_angle, OrdF64, Orientation, PackedIndex, Point, Polygon, Rect, Segment,
+};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -247,6 +249,86 @@ fn rect_span(pivot: Point, rect: &Rect) -> Option<(f64, f64)> {
 /// interval `range` (conservative: true when its span is unbounded).
 fn in_wedge(pivot: Point, rect: &Rect, range: (f64, f64)) -> bool {
     rect_span(pivot, rect).is_none_or(|span| arc_overlap(range, span))
+}
+
+/// Whether the line through `x` and vertex `vertex` of `poly` is tangent
+/// to `poly` there: the vertex's two polygon neighbours are not strictly
+/// on opposite sides of it. Collinear counts as tangent, so a line along
+/// a wall, or through a run of collinear corners, is tangent; `x` at the
+/// vertex itself is tangent too.
+///
+/// A [`LazyScene`] lists an edge between two obstacle vertices only when
+/// its line is tangent at both ends (a waypoint end always passes): the
+/// *tangent visibility graph*. Filtering a
+/// [`VisibilityGraph`](crate::VisibilityGraph) by the same rule gives the
+/// graph it is tested against.
+///
+/// No shortest path between waypoints needs another edge. A path bends
+/// at `p` only if some obstacle interior lies in its inner wedge (the
+/// angle under 180° between its two segments) arbitrarily close to `p`,
+/// or it could cut the corner. That obstacle meets neither segment, so
+/// its interior wedge at `p` lies inside the inner wedge: `p` is one of
+/// its convex vertices, and both segment lines leave its two neighbours
+/// on one side. Its node at `p` survives the filter on both edges, and a
+/// straight run through a vertex is tangent there or it would be
+/// blocked. This holds with touching or overlapping obstacles too: an
+/// obstacle meeting `p` in the middle of an edge has a half-plane there,
+/// which cannot fit the inner wedge, so it never supports a bend; other
+/// obstacles with a vertex at `p` may fail the test, but the supporting
+/// one's node at the same position does not. So no case needs special
+/// handling.
+pub fn tangent_at(poly: &Polygon, vertex: usize, x: Point) -> bool {
+    let vs = poly.vertices();
+    let n = vs.len();
+    let v = vs[vertex];
+    let prev = orient2d(x, v, vs[(vertex + n - 1) % n]);
+    let next = orient2d(x, v, vs[(vertex + 1) % n]);
+    !matches!(
+        (prev, next),
+        (Orientation::CounterClockwise, Orientation::Clockwise)
+            | (Orientation::Clockwise, Orientation::CounterClockwise)
+    )
+}
+
+/// The directions a tangent edge can leave vertex `vertex` of `poly` by,
+/// as disjoint non-wrapping pseudo-angle ranges in ascending order, each
+/// padded outward by [`ARC_PAD`]; empty means the full circle.
+///
+/// At a strictly convex vertex `v` with `e1 = next − v` and `e2 = prev −
+/// v`, the interior wedge runs CCW from `e1` to `e2` (angle `α`). The
+/// tangent directions are the CCW arcs `e2 → −e1` and `−e2 → e1`, each
+/// `180° − α` wide: 2 × 90° of 360° at a rectangle corner. The interior
+/// wedge and its opposite hold no tangent direction. A reflex or exactly
+/// collinear vertex (`α ≥ 180°`) gets the full circle.
+fn tangent_cone(poly: &Polygon, vertex: usize) -> Vec<(f64, f64)> {
+    let vs = poly.vertices();
+    let n = vs.len();
+    let (v, prev, next) = (vs[vertex], vs[(vertex + n - 1) % n], vs[(vertex + 1) % n]);
+    if orient2d(prev, v, next) != Orientation::CounterClockwise {
+        return Vec::new();
+    }
+    let key = |d: Point| pseudo_angle(d.x, d.y);
+    let mut cone = Vec::with_capacity(4);
+    // (e2 → −e1) and (−e2 → e1); −e1 = v − next, −e2 = v − prev.
+    for (from, to) in [(prev - v, v - next), (v - prev, next - v)] {
+        let a0 = (key(from) - ARC_PAD).rem_euclid(4.0);
+        let a1 = (key(to) + ARC_PAD).rem_euclid(4.0);
+        if a0 <= a1 {
+            cone.push((a0, a1));
+        } else {
+            cone.extend([(a0, 4.0), (0.0, a1)]);
+        }
+    }
+    cone.sort_by(|a, b| a.0.total_cmp(&b.0));
+    // Padding can make the pieces touch: one sweep range each, disjoint.
+    let mut merged: Vec<(f64, f64)> = Vec::with_capacity(cone.len());
+    for (a0, a1) in cone {
+        match merged.last_mut() {
+            Some(last) if a0 <= last.1 => last.1 = last.1.max(a1),
+            _ => merged.push((a0, a1)),
+        }
+    }
+    merged
 }
 
 /// Fan-out of a scene's obstacle index.
@@ -779,13 +861,14 @@ impl LazyScene {
         })
     }
 
-    /// One [`sweep::visible_set_windowed`] from `id` over `active`.
+    /// One [`sweep::visible_set_windowed`] from `id` over `active`, within
+    /// `ranges` (empty = the full circle).
     fn sweep(
         &mut self,
         id: NodeId,
         active: &[usize],
         radius: f64,
-        range: Option<(f64, f64)>,
+        ranges: &[(f64, f64)],
     ) -> sweep::WindowedVisibility {
         self.sweeps += 1;
         let node = &self.nodes[id.0 as usize];
@@ -803,17 +886,25 @@ impl LazyScene {
             self.pivot_class(id),
             pivot_vertex,
             radius,
-            range,
+            ranges,
         )
     }
 
     /// A fresh successor list from one sweep over the base window: the
     /// obstacles within a few mean diagonals of the node, or within
-    /// `reach` if that is nearer. Near successors are final; the horizon
-    /// arcs the window could not close are left pending for `refine`.
+    /// `reach` if that is nearer, that meet the node's tangent cone. Near
+    /// successors are final; the horizon arcs the window could not close
+    /// are left pending for `refine`. They lie in the cone, so refinement
+    /// never leaves it either.
     fn base_sweep(&mut self, id: NodeId, reach: f64) -> CacheSlot {
         let n = self.polys.len();
         let pos = self.nodes[id.0 as usize].pos;
+        let cone = match self.nodes[id.0 as usize].kind {
+            NodeKind::ObstacleVertex { obstacle, vertex } => {
+                tangent_cone(&self.polys[obstacle.0 as usize], vertex as usize)
+            }
+            NodeKind::Waypoint { .. } => Vec::new(),
+        };
         let mut slot = CacheSlot {
             radius: f64::INFINITY,
             ..CacheSlot::default()
@@ -826,14 +917,14 @@ impl LazyScene {
 
         // Grow the disk only until it contains some obstacle.
         let mut r = (6.0 * self.mean_diag()).min(horizon).max(1e-12);
-        let mut active = self.candidates(pos, r, None);
+        let mut active = self.candidates(pos, r, &cone);
         while active.is_empty() && r < horizon {
             r *= 4.0;
-            active = self.candidates(pos, r, None);
+            active = self.candidates(pos, r, &cone);
         }
         let full = active.len() == n;
         let window = if full { f64::INFINITY } else { r };
-        let wv = self.sweep(id, &active, window, None);
+        let wv = self.sweep(id, &active, window, &cone);
         self.collect_successors(id, &active, &wv.vertices, 0.0, window, &mut slot.succ);
         if full {
             return slot;
@@ -841,8 +932,13 @@ impl LazyScene {
         slot.radius = r;
         for (a0, a1) in joined(&wv.open) {
             // A full-circle horizon (a single event group, or every arc
-            // open) comes as the degenerate wrap arc (a, a).
-            let (a0, a1) = if a0 == a1 { (0.0, 4.0) } else { (a0, a1) };
+            // open) comes as the degenerate wrap arc (a, a). A coned sweep
+            // never wraps: there (a, a) is an empty arc, as in `refine`.
+            let (a0, a1) = match (a0 == a1, cone.is_empty()) {
+                (true, true) => (0.0, 4.0),
+                (true, false) => continue,
+                (false, _) => (a0, a1),
+            };
             push_split(&mut slot.pending, a0, a1, r, slot.arcs.len());
             slot.arcs.push(ArcTrust {
                 a0,
@@ -896,8 +992,8 @@ impl LazyScene {
                 slot.arcs[root].open = true;
                 continue;
             }
-            let wedge = self.candidates(pos, r_next, Some(range));
-            let wv = self.sweep(id, &wedge, r_next, Some(range));
+            let wedge = self.candidates(pos, r_next, &[range]);
+            let wv = self.sweep(id, &wedge, r_next, &[range]);
             // Trust band (r_arc, r_next]: nearer in-wedge vertices were
             // already reported by the parent sweep.
             self.collect_successors(id, &wedge, &wv.vertices, r_arc, r_next, &mut slot.succ);
@@ -944,7 +1040,7 @@ impl LazyScene {
                     continue;
                 }
                 let d = pos.dist(self.nodes[nid.0 as usize].pos);
-                if d <= hi && (d > lo || lo == 0.0) {
+                if d <= hi && (d > lo || lo == 0.0) && self.tangent_edge(id, nid) {
                     succ.push((nid, d));
                 }
             }
@@ -970,16 +1066,18 @@ impl LazyScene {
         }
     }
 
-    /// Obstacles whose MBR lies within distance `r` of `pos` and, given a
-    /// `range`, may overlap that angular interval (see [`in_wedge`]).
-    fn candidates(&self, pos: Point, r: f64, range: Option<(f64, f64)>) -> Vec<usize> {
+    /// Obstacles whose MBR lies within distance `r` of `pos` and may
+    /// overlap one of the angular intervals `ranges` (as in [`in_wedge`];
+    /// empty = the full circle).
+    fn candidates(&self, pos: Point, r: f64, ranges: &[(f64, f64)]) -> Vec<usize> {
+        let in_ranges = |mbr: &Rect| {
+            ranges.is_empty()
+                || rect_span(pos, mbr)
+                    .is_none_or(|span| ranges.iter().any(|&range| arc_overlap(range, span)))
+        };
         let mut out = Vec::new();
         self.grid.search(
-            |mbr| {
-                (mbr.mindist_point_sq(pos) <= r * r
-                    && range.is_none_or(|range| in_wedge(pos, mbr, range)))
-                .then_some(())
-            },
+            |mbr| (mbr.mindist_point_sq(pos) <= r * r && in_ranges(mbr)).then_some(()),
             |oi, _, ()| {
                 out.push(oi as usize);
                 false
@@ -997,6 +1095,21 @@ impl LazyScene {
         }
     }
 
+    /// Whether the edge `u → w` is in the tangent visibility graph: its
+    /// line is [`tangent_at`] every obstacle-vertex end.
+    fn tangent_edge(&self, u: NodeId, w: NodeId) -> bool {
+        let (pu, pw) = (self.position(u), self.position(w));
+        let at = |id: NodeId, x: Point| match self.kind(id) {
+            NodeKind::ObstacleVertex { obstacle, vertex } => {
+                tangent_at(&self.polys[obstacle.0 as usize], vertex as usize, x)
+            }
+            NodeKind::Waypoint { .. } => true,
+        };
+        at(u, pw) && at(w, pu)
+    }
+
+    /// The tangent obstacle vertices visible from `id`, by a pairwise scan:
+    /// the `Naive` builder, and the oracle of `validate`.
     fn visible_vertices_naive(&self, id: NodeId) -> Vec<(NodeId, f64)> {
         let pivot = self.nodes[id.0 as usize].pos;
         let mut out = Vec::new();
@@ -1006,7 +1119,7 @@ impl LazyScene {
                     continue;
                 }
                 let pos = self.nodes[nid.0 as usize].pos;
-                if self.visible(pivot, pos) {
+                if self.tangent_edge(id, nid) && self.visible(pivot, pos) {
                     out.push((nid, pivot.dist(pos)));
                 }
             }
@@ -1228,6 +1341,94 @@ mod tests {
         assert!((p.distance - exact).abs() < 1e-12);
     }
 
+    /// Shortest distances from `from` over the edges of `graph` that are
+    /// [`tangent_at`] both ends, out to `radius`, with waypoints other
+    /// than `from` as sinks: the tangent visibility graph a `LazyScene`
+    /// expands over.
+    fn tangent_dijkstra(graph: &VisibilityGraph, from: NodeId, radius: f64) -> Vec<(NodeId, f64)> {
+        let polys: Vec<&Polygon> = graph.obstacles().map(|(_, _, p)| p).collect();
+        let at = |id: NodeId, x: Point| match graph.kind(id) {
+            NodeKind::ObstacleVertex { obstacle, vertex } => {
+                tangent_at(polys[obstacle.0 as usize], vertex as usize, x)
+            }
+            NodeKind::Waypoint { .. } => true,
+        };
+        let mut dist = vec![f64::INFINITY; graph.node_slots()];
+        let mut settled = Vec::new();
+        let mut heap = BinaryHeap::new();
+        dist[from.0 as usize] = 0.0;
+        heap.push(Reverse((OrdF64(0.0), from.0)));
+        while let Some(Reverse((OrdF64(d), u))) = heap.pop() {
+            if d > dist[u as usize] {
+                continue;
+            }
+            settled.push((NodeId(u), d));
+            if u != from.0 && matches!(graph.kind(NodeId(u)), NodeKind::Waypoint { .. }) {
+                continue;
+            }
+            let pu = graph.position(NodeId(u));
+            for &(v, w) in graph.neighbors(NodeId(u)) {
+                let nd = d + w;
+                let tangent = at(NodeId(u), graph.position(v)) && at(v, pu);
+                if tangent && nd <= radius && nd < dist[v.0 as usize] {
+                    dist[v.0 as usize] = nd;
+                    heap.push(Reverse((OrdF64(nd), v.0)));
+                }
+            }
+        }
+        settled
+    }
+
+    /// The waypoint (`waypoints`) or obstacle-vertex entries of an
+    /// expansion as sorted `(x bits, y bits, distance to 1e-12)`: node ids
+    /// differ between structures.
+    fn keyed(
+        expansion: &[(NodeId, f64)],
+        position: impl Fn(NodeId) -> Point,
+        kind: impl Fn(NodeId) -> NodeKind,
+        waypoints: bool,
+    ) -> Vec<(u64, u64, i64)> {
+        let mut out: Vec<_> = expansion
+            .iter()
+            .filter(|&&(n, _)| matches!(kind(n), NodeKind::Waypoint { .. }) == waypoints)
+            .map(|&(n, d)| {
+                let p = position(n);
+                (p.x.to_bits(), p.y.to_bits(), (d * 1e12).round() as i64)
+            })
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// A lazy expansion from `q` against the oracles: (i) waypoint
+    /// distances equal the unfiltered graph's, (ii) obstacle vertices
+    /// settle exactly as over the tangent-filtered graph, (iii) every
+    /// successor list validates.
+    fn assert_expansion_matches(
+        s: &LazyScene,
+        lazy: &[(NodeId, f64)],
+        full: &VisibilityGraph,
+        q: NodeId,
+        radius: f64,
+    ) {
+        let at_lazy = |wps| keyed(lazy, |n| s.position(n), |n| s.kind(n), wps);
+        let exact = crate::bounded_expansion(full, q, radius);
+        let at_full =
+            |e: &[(NodeId, f64)], wps| keyed(e, |n| full.position(n), |n| full.kind(n), wps);
+        assert_eq!(
+            at_lazy(true),
+            at_full(&exact, true),
+            "waypoints, radius {radius}"
+        );
+        let tangent = tangent_dijkstra(full, q, radius);
+        assert_eq!(
+            at_lazy(false),
+            at_full(&tangent, false),
+            "vertices, radius {radius}"
+        );
+        s.validate(true).unwrap();
+    }
+
     #[test]
     fn bounded_expansion_matches_materialized_graph() {
         let obstacles = [
@@ -1260,20 +1461,7 @@ mod tests {
                 std::iter::once((q, 1000))
                     .chain(waypoints.iter().enumerate().map(|(i, &p)| (p, i as u64))),
             );
-            let exact = crate::bounded_expansion(&full, wps[0], radius);
-
-            // Compare by (position, distance): node ids differ between the
-            // two structures.
-            let key =
-                |pos: Point, d: f64| (pos.x.to_bits(), pos.y.to_bits(), (d * 1e12).round() as i64);
-            let mut a: Vec<_> = lazy.iter().map(|&(n, d)| key(s.position(n), d)).collect();
-            let mut b: Vec<_> = exact
-                .iter()
-                .map(|&(n, d)| key(full.position(n), d))
-                .collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "radius {radius}");
+            assert_expansion_matches(&s, &lazy, &full, wps[0], radius);
             // Ascending settle order.
             for w in lazy.windows(2) {
                 assert!(w[0].1 <= w[1].1);
@@ -1367,10 +1555,19 @@ mod tests {
             .collect();
         let pending = |s: &LazyScene| s.cache.iter().filter(|c| !c.pending.is_empty()).count();
 
-        let near = s.bounded_expansion(q, 1.5 * diag, &targets);
+        // The query's nearest tangent corners are 1.55 and 1.94 mean
+        // diagonals away.
+        let graph = |obstacles: &[Polygon]| {
+            VisibilityGraph::build(
+                obstacles.iter().cloned().zip(0u64..),
+                entities.iter().map(|&p| (p, 0)),
+            )
+        };
+        let near = s.bounded_expansion(q, 2.0 * diag, &targets);
         assert!(near.len() > 1);
         assert!(pending(&s) > 0, "a city scene leaves pending arcs");
-        s.validate(true).unwrap();
+        let (full, wps) = graph(early);
+        assert_expansion_matches(&s, &near, &full, wps[0], 2.0 * diag);
 
         // A* across town and back resumes some of those lists.
         let across = s.astar(targets[7], q).expect("free points");
@@ -1397,11 +1594,12 @@ mod tests {
         let far = s.bounded_expansion(q, 6.0 * diag, &targets);
         assert!(far.len() > near.len());
         assert!(s.sweep_count() > sweeps);
-        s.validate(true).unwrap();
+        let (full, wps) = graph(&city.obstacles);
+        assert_expansion_matches(&s, &far, &full, wps[0], 6.0 * diag);
         let all = s.bounded_expansion(q, f64::INFINITY, &targets);
         assert!(all.len() >= far.len());
         assert!(s.cache[q.0 as usize].pending.is_empty());
-        s.validate(true).unwrap();
+        assert_expansion_matches(&s, &all, &full, wps[0], f64::INFINITY);
     }
 
     /// `visible_indexed` stops at the first blocking obstacle the index

@@ -90,6 +90,6 @@ pub mod dijkstra;
 mod graph;
 mod sweep;
 
-pub use astar::{EdgeBuilder, LazyScene};
+pub use astar::{tangent_at, EdgeBuilder, LazyScene};
 pub use dijkstra::{bounded_expansion, dijkstra_distance, shortest_path, PathResult};
 pub use graph::{NodeId, NodeKind, ObstacleId, VisibilityGraph};

@@ -144,26 +144,32 @@ pub struct WindowedVisibility {
 
 /// Rotational sweep restricted to a *window*: only the obstacles listed
 /// in `active` (indices into `polys`) contribute events and blocking
-/// edges, and openness is judged against `radius`. With `range =
-/// Some((a0, a1))` (a CCW pseudo-angle interval with `a0 <= a1`, i.e.
-/// not wrapping past the +x axis) the sweep is further restricted to
-/// that angular wedge: only events whose direction falls inside the
-/// interval are processed, and the status is initialised on the ray at
-/// `a0` instead of the +x axis.
+/// edges, and openness is judged against `radius`.
+///
+/// `ranges` restricts the sweep to angular wedges. Each `(a0, a1)` is a
+/// CCW pseudo-angle interval with `0 <= a0 <= a1 <= 4`, i.e. not wrapping
+/// past the +x axis; the ranges of one call are disjoint. Each range is
+/// swept on its own: only events whose direction falls inside it (both
+/// ends included) are processed, the status is re-initialised on the ray
+/// at its `a0`, and its last open arc ends at its `a1`. The ranges share
+/// one edge table, so a cone of several ranges costs one call. An empty
+/// slice is the full circle, swept from the +x axis, whose last open arc
+/// may wrap around to the first. A vertex outside every range keeps the
+/// flag `false`: the sweep says nothing about it.
 ///
 /// Soundness contract (the lazy A\* successor oracle relies on it):
 ///
 /// * if every obstacle of the scene whose MBR lies within Euclidean
-///   distance `radius` of `pivot` — intersecting the wedge, when ranged —
-///   is in `active`, then the visibility flag of every vertex within
-///   `radius` (and inside the wedge) is **exact for the full scene**:
-///   sight lines from the pivot are radial, so any blocker of a segment
-///   of length ≤ `radius` lies inside the disk of that radius and on the
-///   target's own ray, hence inside the wedge;
-/// * any point farther than `radius` whose direction falls in no `open`
-///   arc is **invisible for the full scene** — some active edge properly
-///   crosses its ray nearer than `radius`, and active edges block
-///   regardless of what the window misses.
+///   distance `radius` of `pivot` — intersecting one of the ranges, when
+///   ranged — is in `active`, then the visibility flag of every vertex
+///   within `radius` (and inside a range) is **exact for the full
+///   scene**: sight lines from the pivot are radial, so any blocker of a
+///   segment of length ≤ `radius` lies inside the disk of that radius and
+///   on the target's own ray, hence inside the target's range;
+/// * any point farther than `radius` whose direction falls inside a range
+///   but in no `open` arc is **invisible for the full scene** — some
+///   active edge properly crosses its ray nearer than `radius`, and
+///   active edges block regardless of what the window misses.
 ///
 /// Openness is evaluated at event-group boundaries only: between two
 /// consecutive groups the status is constant and the front edge's
@@ -185,7 +191,7 @@ pub fn visible_set_windowed(
     pivot_class: &PointClass,
     pivot_vertex: Option<(usize, usize)>,
     radius: f64,
-    range: Option<(f64, f64)>,
+    ranges: &[(f64, f64)],
 ) -> WindowedVisibility {
     let mut result = WindowedVisibility {
         vertices: active
@@ -199,9 +205,18 @@ pub fn visible_set_windowed(
             .iter()
             .any(|&(oi, at)| polys[oi].enters_interior_at_boundary(at, toward))
     };
+    let in_range =
+        |key: f64, range: Option<(f64, f64)>| range.is_none_or(|(a0, a1)| a0 <= key && key <= a1);
+    // The full circle is the one "range" without a start ray.
+    let arcs: Vec<Option<(f64, f64)>> = if ranges.is_empty() {
+        vec![None]
+    } else {
+        ranges.iter().copied().map(Some).collect()
+    };
 
-    // ---- Events (active obstacle vertices, restricted to the range).
-    let mut events: Vec<Event> = Vec::new();
+    // ---- Events (active obstacle vertices inside a range), keyed by
+    // pseudo-angle.
+    let mut events: Vec<(f64, Event)> = Vec::new();
     for (ai, &oi) in active.iter().enumerate() {
         for (vi, &v) in polys[oi].vertices().iter().enumerate() {
             if Some((oi, vi)) == pivot_vertex {
@@ -211,17 +226,15 @@ pub fn visible_set_windowed(
                 result.vertices[ai][vi] = true;
                 continue;
             }
-            if let Some((a0, a1)) = range {
-                let key = pseudo_angle(v.x - pivot.x, v.y - pivot.y);
-                if key < a0 || key > a1 {
-                    continue;
-                }
+            let key = pseudo_angle(v.x - pivot.x, v.y - pivot.y);
+            if arcs.iter().any(|&range| in_range(key, range)) {
+                let ev = Event {
+                    pos: v,
+                    obstacle: ai,
+                    vertex: vi,
+                };
+                events.push((key, ev));
             }
-            events.push(Event {
-                pos: v,
-                obstacle: ai,
-                vertex: vi,
-            });
         }
     }
     if pivot_class.inside {
@@ -230,7 +243,9 @@ pub fn visible_set_windowed(
         return result;
     }
     if events.is_empty() {
-        result.open.push(range.unwrap_or((0.0, 4.0)));
+        result
+            .open
+            .extend(arcs.iter().map(|range| range.unwrap_or((0.0, 4.0))));
         return result;
     }
     // Near-sort by the cheap pseudo-angle key, then restore the *exact*
@@ -239,11 +254,12 @@ pub fn visible_set_windowed(
     // pass is O(n) amortized while the result matches `angular_cmp`
     // everywhere (within a non-wrapping range, absolute angular order is
     // the sweep order).
-    events.sort_by_cached_key(|e| pseudo_angle(e.pos.x - pivot.x, e.pos.y - pivot.y).to_bits());
+    events.sort_by_key(|(key, _)| key.to_bits());
     for i in 1..events.len() {
         let mut j = i;
         while j > 0
-            && angular_cmp(pivot, events[j - 1].pos, events[j].pos) == std::cmp::Ordering::Greater
+            && angular_cmp(pivot, events[j - 1].1.pos, events[j].1.pos)
+                == std::cmp::Ordering::Greater
         {
             events.swap(j - 1, j);
             j -= 1;
@@ -285,57 +301,6 @@ pub fn visible_set_windowed(
             .filter(|&ei| ei != NO_EDGE)
             .map(|ei| ei as usize)
     };
-
-    // ---- Initial status: edges properly crossing the sweep's start ray
-    // (the +x axis, or the ray at `a0` when ranged).
-    let init_dir = match range {
-        None => Point::new(pivot.x + 1.0, pivot.y),
-        Some((a0, _)) => {
-            let d = pseudo_dir(a0);
-            Point::new(pivot.x + d.x, pivot.y + d.y)
-        }
-    };
-    let mut status: Vec<usize> = Vec::new();
-    match range {
-        None => {
-            // Exact horizontal-line sidedness (pure comparisons).
-            for (ei, e) in edges.iter().enumerate() {
-                let sa = e.a.y - pivot.y;
-                let sb = e.b.y - pivot.y;
-                if (sa > 0.0 && sb < 0.0) || (sa < 0.0 && sb > 0.0) {
-                    let t = e.a.x + (pivot.y - e.a.y) * (e.b.x - e.a.x) / (e.b.y - e.a.y) - pivot.x;
-                    if t > 0.0 {
-                        status.push(ei);
-                    }
-                }
-            }
-        }
-        Some(_) => {
-            // Robust sidedness against an arbitrary start ray.
-            for (ei, e) in edges.iter().enumerate() {
-                let oa = orient2d(pivot, init_dir, e.a);
-                let ob = orient2d(pivot, init_dir, e.b);
-                let proper = matches!(
-                    (oa, ob),
-                    (Orientation::CounterClockwise, Orientation::Clockwise)
-                        | (Orientation::Clockwise, Orientation::CounterClockwise)
-                );
-                if proper {
-                    let t = ray_t(pivot, init_dir, e);
-                    if t > 0.0 && t.is_finite() {
-                        status.push(ei);
-                    }
-                }
-            }
-        }
-    }
-    status.sort_by(|&x, &y| {
-        obstacle_geom::total_cmp(
-            ray_t(pivot, init_dir, &edges[x]),
-            ray_t(pivot, init_dir, &edges[y]),
-        )
-    });
-
     // Openness test: is the nearest properly-crossing edge along the ray
     // through `target` certifiably within the window radius?
     let edges_ref = &edges;
@@ -348,121 +313,185 @@ pub fn visible_set_windowed(
         }
     };
 
-    // ---- Sweep.
-    let mut first_boundary: Option<(f64, bool)> = None; // (pseudo-angle, arrive-open)
-    let mut prev_boundary: Option<(f64, bool)> = None; // (pseudo-angle, leave-open)
-    if let Some((a0, _)) = range {
-        // The range start is a boundary of the first arc.
-        let open = front_open(&status, init_dir);
-        prev_boundary = Some((a0, open));
-    }
-    let mut gi = 0usize;
-    while gi < events.len() {
-        let mut gj = gi + 1;
-        while gj < events.len() && same_ray(pivot, events[gi].pos, events[gj].pos) {
-            gj += 1;
+    for range in arcs {
+        let events: Vec<Event> = events
+            .iter()
+            .filter(|&&(key, _)| in_range(key, range))
+            .map(|&(_, ev)| ev)
+            .collect();
+        if events.is_empty() {
+            // Only a range can be empty here; nothing in it to sweep.
+            result.open.extend(range);
+            continue;
         }
-        let group = &events[gi..gj];
-        let ray_target = group[0].pos;
-        let theta = pseudo_angle(ray_target.x - pivot.x, ray_target.y - pivot.y);
 
-        // Openness of the arc ending at this ray.
-        let arrive_open = front_open(&status, ray_target);
-        match prev_boundary {
-            Some((prev_theta, leave_open)) => {
-                if leave_open || arrive_open {
-                    result.open.push((prev_theta, theta));
-                }
+        // ---- Initial status: edges properly crossing the sweep's start
+        // ray (the +x axis, or the ray at `a0` when ranged).
+        let init_dir = match range {
+            None => Point::new(pivot.x + 1.0, pivot.y),
+            Some((a0, _)) => {
+                let d = pseudo_dir(a0);
+                Point::new(pivot.x + d.x, pivot.y + d.y)
             }
-            None => first_boundary = Some((theta, arrive_open)),
-        }
-
-        // Phase A: remove edges ending at this ray.
-        for ev in group {
-            for ei in incident_edges(ev) {
-                let other = other_endpoint(&edges[ei], ev.pos);
-                if orient2d(pivot, ev.pos, other) == Orientation::Clockwise {
-                    if let Some(p) = status.iter().position(|&s| s == ei) {
-                        status.remove(p);
-                    }
-                }
-            }
-        }
-
-        // Phase B: visibility, near to far along the ray.
-        let mut chain_blocked = false;
-        let mut prev_pos = pivot;
-        let mut prev_visible = true;
-        let mut prev_attachments: &[(usize, BoundaryAttachment)] = &[];
-        for ev in group {
-            let dw = pivot.dist(ev.pos);
-            let class = &vertex_class[active[ev.obstacle]][ev.vertex];
-            let visible;
-            if ev.pos == prev_pos {
-                visible = prev_visible;
-            } else {
-                if !chain_blocked && enters(prev_attachments, ev.pos) {
-                    chain_blocked = true;
-                }
-                let mut blocked = chain_blocked || class.inside;
-                if !blocked {
-                    if let Some(&front) = status.first() {
-                        let t = ray_t(pivot, ray_target, &edges[front]);
-                        if t < dw - 1e-9 * (1.0 + dw) {
-                            blocked = true;
+        };
+        let mut status: Vec<usize> = Vec::new();
+        match range {
+            None => {
+                // Exact horizontal-line sidedness (pure comparisons).
+                for (ei, e) in edges.iter().enumerate() {
+                    let sa = e.a.y - pivot.y;
+                    let sb = e.b.y - pivot.y;
+                    if (sa > 0.0 && sb < 0.0) || (sa < 0.0 && sb > 0.0) {
+                        let t =
+                            e.a.x + (pivot.y - e.a.y) * (e.b.x - e.a.x) / (e.b.y - e.a.y) - pivot.x;
+                        if t > 0.0 {
+                            status.push(ei);
                         }
                     }
                 }
-                if !blocked && enters(&pivot_class.attachments, ev.pos) {
-                    blocked = true;
-                }
-                if !blocked && enters(&class.attachments, pivot) {
-                    blocked = true;
-                }
-                visible = !blocked;
-                if blocked {
-                    chain_blocked = true;
-                }
-                prev_pos = ev.pos;
-                prev_visible = visible;
-                prev_attachments = &class.attachments;
             }
-            result.vertices[ev.obstacle][ev.vertex] = visible;
-        }
-
-        // Phase C: insert edges beginning at this ray.
-        for ev in group {
-            for ei in incident_edges(ev) {
-                let other = other_endpoint(&edges[ei], ev.pos);
-                if orient2d(pivot, ev.pos, other) == Orientation::CounterClockwise {
-                    insert_into_status(&mut status, &edges, pivot, ray_target, ei, ev.pos);
+            Some(_) => {
+                // Robust sidedness against an arbitrary start ray.
+                for (ei, e) in edges.iter().enumerate() {
+                    let oa = orient2d(pivot, init_dir, e.a);
+                    let ob = orient2d(pivot, init_dir, e.b);
+                    let proper = matches!(
+                        (oa, ob),
+                        (Orientation::CounterClockwise, Orientation::Clockwise)
+                            | (Orientation::Clockwise, Orientation::CounterClockwise)
+                    );
+                    if proper {
+                        let t = ray_t(pivot, init_dir, e);
+                        if t > 0.0 && t.is_finite() {
+                            status.push(ei);
+                        }
+                    }
                 }
             }
         }
+        status.sort_by(|&x, &y| {
+            obstacle_geom::total_cmp(
+                ray_t(pivot, init_dir, &edges[x]),
+                ray_t(pivot, init_dir, &edges[y]),
+            )
+        });
 
-        prev_boundary = Some((theta, front_open(&status, ray_target)));
-        gi = gj;
-    }
+        // ---- Sweep.
+        let mut first_boundary: Option<(f64, bool)> = None; // (pseudo-angle, arrive-open)
+        let mut prev_boundary: Option<(f64, bool)> = None; // (pseudo-angle, leave-open)
+        if let Some((a0, _)) = range {
+            // The range start is a boundary of the first arc.
+            let open = front_open(&status, init_dir);
+            prev_boundary = Some((a0, open));
+        }
+        let mut gi = 0usize;
+        while gi < events.len() {
+            let mut gj = gi + 1;
+            while gj < events.len() && same_ray(pivot, events[gi].pos, events[gj].pos) {
+                gj += 1;
+            }
+            let group = &events[gi..gj];
+            let ray_target = group[0].pos;
+            let theta = pseudo_angle(ray_target.x - pivot.x, ray_target.y - pivot.y);
 
-    match range {
-        None => {
-            // Wrap-around arc from the last group back to the first.
-            if let (Some((last_theta, leave_open)), Some((first_theta, arrive_open))) =
-                (prev_boundary, first_boundary)
-            {
-                if leave_open || arrive_open {
-                    result.open.push((last_theta, first_theta));
+            // Openness of the arc ending at this ray.
+            let arrive_open = front_open(&status, ray_target);
+            match prev_boundary {
+                Some((prev_theta, leave_open)) => {
+                    if leave_open || arrive_open {
+                        result.open.push((prev_theta, theta));
+                    }
+                }
+                None => first_boundary = Some((theta, arrive_open)),
+            }
+
+            // Phase A: remove edges ending at this ray.
+            for ev in group {
+                for ei in incident_edges(ev) {
+                    let other = other_endpoint(&edges[ei], ev.pos);
+                    if orient2d(pivot, ev.pos, other) == Orientation::Clockwise {
+                        if let Some(p) = status.iter().position(|&s| s == ei) {
+                            status.remove(p);
+                        }
+                    }
                 }
             }
+
+            // Phase B: visibility, near to far along the ray.
+            let mut chain_blocked = false;
+            let mut prev_pos = pivot;
+            let mut prev_visible = true;
+            let mut prev_attachments: &[(usize, BoundaryAttachment)] = &[];
+            for ev in group {
+                let dw = pivot.dist(ev.pos);
+                let class = &vertex_class[active[ev.obstacle]][ev.vertex];
+                let visible;
+                if ev.pos == prev_pos {
+                    visible = prev_visible;
+                } else {
+                    if !chain_blocked && enters(prev_attachments, ev.pos) {
+                        chain_blocked = true;
+                    }
+                    let mut blocked = chain_blocked || class.inside;
+                    if !blocked {
+                        if let Some(&front) = status.first() {
+                            let t = ray_t(pivot, ray_target, &edges[front]);
+                            if t < dw - 1e-9 * (1.0 + dw) {
+                                blocked = true;
+                            }
+                        }
+                    }
+                    if !blocked && enters(&pivot_class.attachments, ev.pos) {
+                        blocked = true;
+                    }
+                    if !blocked && enters(&class.attachments, pivot) {
+                        blocked = true;
+                    }
+                    visible = !blocked;
+                    if blocked {
+                        chain_blocked = true;
+                    }
+                    prev_pos = ev.pos;
+                    prev_visible = visible;
+                    prev_attachments = &class.attachments;
+                }
+                result.vertices[ev.obstacle][ev.vertex] = visible;
+            }
+
+            // Phase C: insert edges beginning at this ray.
+            for ev in group {
+                for ei in incident_edges(ev) {
+                    let other = other_endpoint(&edges[ei], ev.pos);
+                    if orient2d(pivot, ev.pos, other) == Orientation::CounterClockwise {
+                        insert_into_status(&mut status, &edges, pivot, ray_target, ei, ev.pos);
+                    }
+                }
+            }
+
+            prev_boundary = Some((theta, front_open(&status, ray_target)));
+            gi = gj;
         }
-        Some((_, a1)) => {
-            // The range end is the final arc boundary.
-            let d = pseudo_dir(a1);
-            let end_dir = Point::new(pivot.x + d.x, pivot.y + d.y);
-            let end_open = front_open(&status, end_dir);
-            if let Some((last_theta, leave_open)) = prev_boundary {
-                if leave_open || end_open {
-                    result.open.push((last_theta, a1));
+
+        match range {
+            None => {
+                // Wrap-around arc from the last group back to the first.
+                if let (Some((last_theta, leave_open)), Some((first_theta, arrive_open))) =
+                    (prev_boundary, first_boundary)
+                {
+                    if leave_open || arrive_open {
+                        result.open.push((last_theta, first_theta));
+                    }
+                }
+            }
+            Some((_, a1)) => {
+                // The range end is the final arc boundary.
+                let d = pseudo_dir(a1);
+                let end_dir = Point::new(pivot.x + d.x, pivot.y + d.y);
+                let end_open = front_open(&status, end_dir);
+                if let Some((last_theta, leave_open)) = prev_boundary {
+                    if leave_open || end_open {
+                        result.open.push((last_theta, a1));
+                    }
                 }
             }
         }

@@ -2,31 +2,94 @@
 //! `EdgeBuilder::RotationalSweep`, i.e. `visible_set_windowed` behind the
 //! successor caches) must see exactly what the naive oracle graph sees,
 //! including on adversarial configurations (collinear vertices, diagonals
-//! through corners, entities on walls).
+//! through corners, entities on walls). A scene lists only the edges
+//! tangent at both ends (`tangent_at`), so waypoint distances are held to
+//! the naive graph itself and obstacle vertices to the naive graph
+//! filtered by the same predicate.
 
 use obstacle_geom::check;
-use obstacle_geom::{Point, Polygon, Rect};
-use obstacle_visibility::{bounded_expansion, EdgeBuilder, LazyScene, NodeId, VisibilityGraph};
+use obstacle_geom::{OrdF64, Point, Polygon, Rect};
+use obstacle_visibility::{
+    bounded_expansion, tangent_at, EdgeBuilder, LazyScene, NodeId, NodeKind, VisibilityGraph,
+};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// Every node within reach of `from`, as sorted `(x bits, y bits,
-/// distance)` — node ids differ between the two structures.
-fn reach(nodes: Vec<(NodeId, f64)>, position: impl Fn(NodeId) -> Point) -> Vec<(u64, u64, f64)> {
+/// The waypoint (`waypoints`) or obstacle-vertex nodes of an expansion, as
+/// sorted `(x bits, y bits, distance)` — node ids differ between the two
+/// structures.
+fn reach(
+    nodes: &[(NodeId, f64)],
+    position: impl Fn(NodeId) -> Point,
+    kind: impl Fn(NodeId) -> NodeKind,
+    waypoints: bool,
+) -> Vec<(u64, u64, f64)> {
     let mut out: Vec<_> = nodes
-        .into_iter()
-        .map(|(n, d)| (position(n).x.to_bits(), position(n).y.to_bits(), d))
+        .iter()
+        .filter(|&&(n, _)| matches!(kind(n), NodeKind::Waypoint { .. }) == waypoints)
+        .map(|&(n, d)| (position(n).x.to_bits(), position(n).y.to_bits(), d))
         .collect();
     out.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then(a.2.total_cmp(&b.2)));
     out
+}
+
+/// Unbounded Dijkstra from `from` over the naive graph's edges that are
+/// tangent at both ends, with waypoints other than `from` as sinks: the
+/// tangent visibility graph a `LazyScene` expands over.
+fn tangent_expansion(graph: &VisibilityGraph, from: NodeId) -> Vec<(NodeId, f64)> {
+    let polys: Vec<&Polygon> = graph.obstacles().map(|(_, _, p)| p).collect();
+    let at = |id: NodeId, x: Point| match graph.kind(id) {
+        NodeKind::ObstacleVertex { obstacle, vertex } => {
+            tangent_at(polys[obstacle.0 as usize], vertex as usize, x)
+        }
+        NodeKind::Waypoint { .. } => true,
+    };
+    let mut dist = vec![f64::INFINITY; graph.node_slots()];
+    let mut settled = Vec::new();
+    let mut heap = BinaryHeap::new();
+    dist[from.0 as usize] = 0.0;
+    heap.push(Reverse((OrdF64(0.0), from.0)));
+    while let Some(Reverse((OrdF64(d), u))) = heap.pop() {
+        if d > dist[u as usize] {
+            continue;
+        }
+        settled.push((NodeId(u), d));
+        if u != from.0 && matches!(graph.kind(NodeId(u)), NodeKind::Waypoint { .. }) {
+            continue;
+        }
+        let pu = graph.position(NodeId(u));
+        for &(v, w) in graph.neighbors(NodeId(u)) {
+            let nd = d + w;
+            if at(NodeId(u), graph.position(v)) && at(v, pu) && nd < dist[v.0 as usize] {
+                dist[v.0 as usize] = nd;
+                heap.push(Reverse((OrdF64(nd), v.0)));
+            }
+        }
+    }
+    settled
+}
+
+/// Asserts two sorted reach lists name the same positions at distances
+/// within 1e-9.
+fn assert_same_reach(got: &[(u64, u64, f64)], want: &[(u64, u64, f64)], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}");
+    for (g, w) in got.iter().zip(want) {
+        assert!(
+            (g.0, g.1) == (w.0, w.1) && (g.2 - w.2).abs() <= 1e-9,
+            "{g:?} vs oracle {w:?}: {what}"
+        );
+    }
 }
 
 /// Grows a sweep-driven scene one obstacle at a time under a standing set
 /// of waypoints (so classifications are maintained incrementally and
 /// successor caches are revalidated, as in production). After every
 /// insertion an unbounded expansion from every waypoint sweeps every
-/// reachable node; then each fresh successor list must equal naive
-/// visibility (`validate(true)`) and every distance — waypoint to
-/// waypoint and waypoint to vertex — must equal the naive graph's over
-/// the same obstacles.
+/// reachable node. Then (i) every waypoint distance must equal the naive
+/// graph's over the same obstacles, (ii) the obstacle vertices settled,
+/// and their distances, must equal a Dijkstra over the naive graph's
+/// tangent edges, and (iii) each fresh successor list must equal naive
+/// tangent visibility (`validate(true)`).
 fn assert_equivalent(obstacles: &[Rect], waypoints: &[Point]) {
     let polys: Vec<Polygon> = obstacles.iter().map(|r| Polygon::from_rect(*r)).collect();
     let tagged = || waypoints.iter().copied().zip(0u64..);
@@ -45,18 +108,14 @@ fn assert_equivalent(obstacles: &[Rect], waypoints: &[Point]) {
         naive.validate(true).expect("naive graph is its own oracle");
         for (&from, &naive_from) in ids.iter().zip(&naive_ids) {
             let swept = scene.bounded_expansion(from, f64::INFINITY, &ids);
-            let got = reach(swept, |n| scene.position(n));
-            let want = reach(bounded_expansion(&naive, naive_from, f64::INFINITY), |n| {
-                naive.position(n)
-            });
-            assert_eq!(got.len(), want.len(), "reach from {from:?}\n{}", context(n));
-            for (g, w) in got.iter().zip(&want) {
-                assert!(
-                    (g.0, g.1) == (w.0, w.1) && (g.2 - w.2).abs() <= 1e-9,
-                    "from {from:?}: {g:?} vs oracle {w:?}\n{}",
-                    context(n)
-                );
-            }
+            let got = |wps| reach(&swept, |n| scene.position(n), |n| scene.kind(n), wps);
+            let want =
+                |e: &[(NodeId, f64)], wps| reach(e, |n| naive.position(n), |n| naive.kind(n), wps);
+            let exact = bounded_expansion(&naive, naive_from, f64::INFINITY);
+            let what = |part| format!("{part} from {from:?}\n{}", context(n));
+            assert_same_reach(&got(true), &want(&exact, true), &what("waypoints"));
+            let tangent = tangent_expansion(&naive, naive_from);
+            assert_same_reach(&got(false), &want(&tangent, false), &what("vertices"));
         }
         scene
             .validate(true)
