@@ -7,8 +7,9 @@
 //! naive `VisibilityGraph` and to `BruteForce`: corners touching at a
 //! pinch a path must bend through, a shared edge, overlapping obstacles
 //! whose union has a convex corner built from both, collinear corner runs
-//! (axis-aligned and slanted), an L-shaped polygon with a reflex vertex,
-//! and waypoints on walls and exactly at vertices.
+//! (axis-aligned, slanted, and one whose directions round apart), an
+//! L-shaped polygon with a reflex vertex, and waypoints on walls and
+//! exactly at vertices.
 
 use obstacle_core::{Answer, BruteForce, EntityIndex, ObstacleIndex, Query, QueryEngine};
 use obstacle_geom::{Point, Polygon, Rect};
@@ -240,6 +241,21 @@ fn collinear_corner_runs() {
         .collect();
     let wps = pts(&[(-3.0, -0.5), (18.0, 5.5), (7.0, 1.0), (4.5, 4.0)]);
     assert_degenerate_scene(&slanted, &wps);
+}
+
+#[test]
+fn a_wall_continues_to_a_collinear_corner_whose_direction_rounds_apart() {
+    // (0.2, 0.3), (0.8, 0.5) and (1.4, 0.7) are exactly collinear, but
+    // the pseudo-angle of the wall (0.2, 0.3) → (0.8, 0.5) rounds to just
+    // below 0.25 and that of (1.4, 0.7) to 0.25 itself: the far corner
+    // lies on the edge of the wall corner's tangent cone, which only its
+    // padding keeps in the sweep.
+    let obstacles = [
+        poly(&[(0.2, 0.3), (0.8, 0.5), (0.2, 0.9)]),
+        poly(&[(1.4, 0.7), (2.0, 1.0), (1.5, 1.2)]),
+    ];
+    let wps = pts(&[(0.0, 0.6), (2.2, 0.9), (1.0, 1.3), (0.6, 0.0)]);
+    assert_degenerate_scene(&obstacles, &wps);
 }
 
 #[test]

@@ -17,7 +17,7 @@
 //! major axis `d_O(p, q)` — so the number of sweeps is proportional to the
 //! corridor the path actually explores, not to the scene.
 //!
-//! Three further refinements keep each sweep *local*:
+//! Four further refinements keep each sweep *local*:
 //!
 //! * sweeps are **windowed and wedge-refined**: a base sweep covers only
 //!   the obstacles within a few mean obstacle diameters of the pivot and
@@ -40,7 +40,19 @@
 //!   that far stay *pending*, and a later search that needs more resumes
 //!   exactly those. A sweep's cost follows the remaining budget
 //!   ([`LazyScene::bounded_expansion`]) or heuristic distance
-//!   ([`LazyScene::astar`]), not the extent of a resident scene.
+//!   ([`LazyScene::astar`]), not the extent of a resident scene;
+//! * the graph is the **tangent visibility graph** (Wang, *Shortest
+//!   Paths Among Obstacles in the Plane Revisited*): a shortest path
+//!   bends only at an obstacle vertex where both of its segments are
+//!   tangent to that obstacle, so an edge between two obstacle vertices
+//!   is listed only if its line is [`tangent_at`] both ends, and a
+//!   strictly convex vertex sweeps only its **tangent cone** — the two
+//!   arcs between one wall's direction and the other wall's opposite,
+//!   2 × 90° of 360° at a rectangle corner — instead of the full circle.
+//!   Its horizon arcs, pending refinements and revalidation then only
+//!   ever cover cone arcs. Distances and paths between waypoints are
+//!   those of the full visibility graph; an obstacle vertex reached only
+//!   through non-tangent edges settles later, or not at all.
 
 use crate::dijkstra::PathResult;
 use crate::graph::{NodeId, NodeKind, ObstacleId};
@@ -55,7 +67,8 @@ use std::collections::BinaryHeap;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum EdgeBuilder {
     /// Pairwise checks against every obstacle: O(n·m) per node, where m is
-    /// the total number of obstacle edges. The ablation / oracle arm.
+    /// the total number of obstacle edges, keeping the same tangent edges
+    /// as the sweep. The ablation / oracle arm.
     Naive,
     /// Rotational plane sweep \[SS84\]: O(n log n) per node. The builder
     /// used by the paper (and by default here).
@@ -693,6 +706,13 @@ impl LazyScene {
     /// counterpart of [`bounded_expansion`](crate::bounded_expansion)
     /// over a materialized graph, and the engine of the OR range query.
     ///
+    /// Waypoint distances (the source's and the targets') are exact
+    /// obstructed distances. Each obstacle vertex is reported at its
+    /// distance over the *tangent* visibility graph (see the module
+    /// docs), which may exceed its obstructed distance: a vertex reached
+    /// only through non-tangent edges settles later than in the full
+    /// graph, or not at all. OR and ODJ read only waypoints.
+    ///
     /// The caller must have absorbed every obstacle intersecting the disk
     /// of radius `radius` around `from` (a single R-tree range does it:
     /// the region is known up front, unlike the point-to-point fixpoint).
@@ -1131,9 +1151,9 @@ impl LazyScene {
     /// check for tests: classifications match a from-scratch recompute,
     /// and every successor cache a search would use as it stands (fresh,
     /// or stale but passing revalidation) agrees with the naive
-    /// visibility oracle over what it certifies: every listed vertex is
-    /// oracle-visible, and every oracle-visible vertex within the list's
-    /// reach is listed.
+    /// visibility oracle, restricted to tangent edges, over what it
+    /// certifies: every listed vertex is oracle-visible, and every
+    /// oracle-visible vertex within the list's reach is listed.
     pub fn validate(&self, check_semantics: bool) -> Result<(), String> {
         let scene: Vec<&Polygon> = self.polys.iter().collect();
         for (oi, slot) in self.vertex_class.iter().enumerate() {
@@ -1519,6 +1539,64 @@ mod tests {
         // 8 vertices, the source and 3 targets.
         assert_eq!(all.len(), 12);
         assert_eq!(all, most);
+    }
+
+    #[test]
+    fn tangent_cone_holds_exactly_the_tangent_directions() {
+        // The corner (0, 0) of a CCW square: walls along +x (next) and +y
+        // (prev). Tangent arcs +y → −x and −y → +x: 2 × 90° of 360°.
+        let sq = square(0.0, 0.0, 1.0, 1.0);
+        assert_eq!(
+            tangent_cone(&sq, 0),
+            vec![
+                (0.0, ARC_PAD),
+                (1.0 - ARC_PAD, 2.0 + ARC_PAD),
+                (3.0 - ARC_PAD, 4.0)
+            ]
+        );
+        // A reflex corner sweeps the full circle.
+        let l = Polygon::new(
+            [
+                (0.0, 0.0),
+                (2.0, 0.0),
+                (2.0, 1.0),
+                (1.0, 1.0),
+                (1.0, 2.0),
+                (0.0, 2.0),
+            ]
+            .map(|(x, y)| Point::new(x, y))
+            .to_vec(),
+        )
+        .unwrap();
+        assert!(tangent_cone(&l, 3).is_empty());
+        // Around convex vertices of a skewed polygon, a direction more
+        // than the padding inside the cone is tangent, and one outside it
+        // is not.
+        let kite = Polygon::new(
+            [(0.0, 0.0), (3.0, 0.4), (3.5, 2.0), (0.7, 1.1)]
+                .map(|(x, y)| Point::new(x, y))
+                .to_vec(),
+        )
+        .unwrap();
+        for vi in 0..kite.len() {
+            let v = kite.vertices()[vi];
+            let cone = tangent_cone(&kite, vi);
+            assert!(!cone.is_empty());
+            for step in 0..4000 {
+                let a = step as f64 * std::f64::consts::TAU / 4000.0;
+                let dir = Point::new(a.cos(), a.sin());
+                let key = pseudo_angle(dir.x, dir.y);
+                let near_edge = cone.iter().any(|&(a0, a1)| {
+                    (key - a0).abs() <= 2.0 * ARC_PAD || (key - a1).abs() <= 2.0 * ARC_PAD
+                });
+                if near_edge {
+                    continue;
+                }
+                let inside = cone.iter().any(|&(a0, a1)| a0 <= key && key <= a1);
+                let x = Point::new(v.x + dir.x, v.y + dir.y);
+                assert_eq!(inside, tangent_at(&kite, vi, x), "vertex {vi}, key {key}");
+            }
+        }
     }
 
     #[test]

@@ -54,8 +54,10 @@
 //!   [`dijkstra`] searches. `obstacle_core::brute` and the oracle suites
 //!   build it; `tests/sweep_vs_naive.rs` drives the sweep over
 //!   adversarial scenes (collinear corners, diagonals through touching
-//!   corners, waypoints on walls) and requires all-pairs distances equal
-//!   to this graph's.
+//!   corners, waypoints on walls) and requires waypoint distances equal
+//!   to this graph's, and obstacle-vertex distances equal to this graph
+//!   filtered by [`tangent_at`]: a scene builds the *tangent* visibility
+//!   graph, which keeps every shortest path between waypoints.
 //!
 //! Visibility semantics: obstacle **interiors** block sight; boundaries do
 //! not. Paths may slide along obstacle edges and pass through touching
