@@ -42,17 +42,12 @@
 //!   ([`LazyScene::bounded_expansion`]) or heuristic distance
 //!   ([`LazyScene::astar`]), not the extent of a resident scene;
 //! * the graph is the **tangent visibility graph** (Wang, *Shortest
-//!   Paths Among Obstacles in the Plane Revisited*): a shortest path
-//!   bends only at an obstacle vertex where both of its segments are
-//!   tangent to that obstacle, so an edge between two obstacle vertices
-//!   is listed only if its line is [`tangent_at`] both ends, and a
-//!   strictly convex vertex sweeps only its **tangent cone** — the two
-//!   arcs between one wall's direction and the other wall's opposite,
-//!   2 × 90° of 360° at a rectangle corner — instead of the full circle.
-//!   Its horizon arcs, pending refinements and revalidation then only
-//!   ever cover cone arcs. Distances and paths between waypoints are
-//!   those of the full visibility graph; an obstacle vertex reached only
-//!   through non-tangent edges settles later, or not at all.
+//!   Paths Among Obstacles in the Plane Revisited*): an edge between two
+//!   obstacle vertices is listed only if its line is [`tangent_at`] both
+//!   ends, and a convex vertex sweeps only its **tangent cone** (2 × 90°
+//!   of 360° at a rectangle corner), so its horizon arcs and pending
+//!   refinements cover cone arcs only. Distances and paths between
+//!   waypoints are those of the full visibility graph.
 
 use crate::dijkstra::PathResult;
 use crate::graph::{NodeId, NodeKind, ObstacleId};
@@ -265,31 +260,22 @@ fn in_wedge(pivot: Point, rect: &Rect, range: (f64, f64)) -> bool {
 }
 
 /// Whether the line through `x` and vertex `vertex` of `poly` is tangent
-/// to `poly` there: the vertex's two polygon neighbours are not strictly
-/// on opposite sides of it. Collinear counts as tangent, so a line along
-/// a wall, or through a run of collinear corners, is tangent; `x` at the
-/// vertex itself is tangent too.
+/// to `poly` there: the vertex's two neighbours are not strictly on
+/// opposite sides of it. Collinear counts (a line along a wall or through
+/// collinear corners, or `x` at the vertex). A [`LazyScene`] lists an
+/// edge between obstacle vertices only if it is tangent at both ends; a
+/// [`VisibilityGraph`](crate::VisibilityGraph) filtered by the same rule
+/// is its oracle.
 ///
-/// A [`LazyScene`] lists an edge between two obstacle vertices only when
-/// its line is tangent at both ends (a waypoint end always passes): the
-/// *tangent visibility graph*. Filtering a
-/// [`VisibilityGraph`](crate::VisibilityGraph) by the same rule gives the
-/// graph it is tested against.
-///
-/// No shortest path between waypoints needs another edge. A path bends
-/// at `p` only if some obstacle interior lies in its inner wedge (the
-/// angle under 180° between its two segments) arbitrarily close to `p`,
-/// or it could cut the corner. That obstacle meets neither segment, so
-/// its interior wedge at `p` lies inside the inner wedge: `p` is one of
-/// its convex vertices, and both segment lines leave its two neighbours
-/// on one side. Its node at `p` survives the filter on both edges, and a
-/// straight run through a vertex is tangent there or it would be
-/// blocked. This holds with touching or overlapping obstacles too: an
-/// obstacle meeting `p` in the middle of an edge has a half-plane there,
-/// which cannot fit the inner wedge, so it never supports a bend; other
-/// obstacles with a vertex at `p` may fail the test, but the supporting
-/// one's node at the same position does not. So no case needs special
-/// handling.
+/// No shortest path between waypoints needs another edge, touching or
+/// overlapping obstacles included. A path bends at `p` only if some
+/// obstacle interior lies in its inner wedge (under 180°) arbitrarily
+/// close to `p`. That obstacle meets neither segment, so its interior
+/// wedge at `p` lies inside the inner wedge: `p` is one of its convex
+/// vertices, both segment lines are tangent there, and its node at `p`
+/// survives the filter, whatever other nodes at `p` do. An obstacle that
+/// meets `p` mid-edge has a half-plane there, which cannot fit the inner
+/// wedge. A straight run through a vertex is tangent there, or blocked.
 pub fn tangent_at(poly: &Polygon, vertex: usize, x: Point) -> bool {
     let vs = poly.vertices();
     let n = vs.len();
@@ -333,15 +319,13 @@ fn tangent_cone(poly: &Polygon, vertex: usize) -> Vec<(f64, f64)> {
         }
     }
     cone.sort_by(|a, b| a.0.total_cmp(&b.0));
-    // Padding can make the pieces touch: one sweep range each, disjoint.
-    let mut merged: Vec<(f64, f64)> = Vec::with_capacity(cone.len());
-    for (a0, a1) in cone {
-        match merged.last_mut() {
-            Some(last) if a0 <= last.1 => last.1 = last.1.max(a1),
-            _ => merged.push((a0, a1)),
-        }
-    }
-    merged
+    // Padding overlaps the arcs of a needle-thin vertex: merge them.
+    cone.dedup_by(|next, kept| {
+        let overlap = next.0 <= kept.1;
+        kept.1 = if overlap { kept.1.max(next.1) } else { kept.1 };
+        overlap
+    });
+    cone
 }
 
 /// Fan-out of a scene's obstacle index.
@@ -706,12 +690,10 @@ impl LazyScene {
     /// counterpart of [`bounded_expansion`](crate::bounded_expansion)
     /// over a materialized graph, and the engine of the OR range query.
     ///
-    /// Waypoint distances (the source's and the targets') are exact
-    /// obstructed distances. Each obstacle vertex is reported at its
-    /// distance over the *tangent* visibility graph (see the module
-    /// docs), which may exceed its obstructed distance: a vertex reached
-    /// only through non-tangent edges settles later than in the full
-    /// graph, or not at all. OR and ODJ read only waypoints.
+    /// Waypoint distances are exact obstructed distances. An obstacle
+    /// vertex is reported at its distance over the *tangent* visibility
+    /// graph (module docs): one reached only through non-tangent edges
+    /// settles later, or not at all. OR and ODJ read only waypoints.
     ///
     /// The caller must have absorbed every obstacle intersecting the disk
     /// of radius `radius` around `from` (a single R-tree range does it:
@@ -952,13 +934,12 @@ impl LazyScene {
         slot.radius = r;
         for (a0, a1) in joined(&wv.open) {
             // A full-circle horizon (a single event group, or every arc
-            // open) comes as the degenerate wrap arc (a, a). A coned sweep
-            // never wraps: there (a, a) is an empty arc, as in `refine`.
-            let (a0, a1) = match (a0 == a1, cone.is_empty()) {
-                (true, true) => (0.0, 4.0),
-                (true, false) => continue,
-                (false, _) => (a0, a1),
-            };
+            // open) comes as the degenerate wrap arc (a, a); a coned one
+            // never wraps, so there (a, a) is empty, as in `refine`.
+            if a0 == a1 && !cone.is_empty() {
+                continue;
+            }
+            let (a0, a1) = if a0 == a1 { (0.0, 4.0) } else { (a0, a1) };
             push_split(&mut slot.pending, a0, a1, r, slot.arcs.len());
             slot.arcs.push(ArcTrust {
                 a0,

@@ -86,10 +86,12 @@ struct Edge {
     b: Point,
 }
 
-/// One sweep event: vertex `vertex` of the `obstacle`-th active obstacle.
+/// One sweep event: vertex `vertex` of the `obstacle`-th active obstacle,
+/// in direction `key` (pseudo-angle) from the pivot.
 #[derive(Clone, Copy, Debug)]
 struct Event {
     pos: Point,
+    key: f64,
     obstacle: usize,
     vertex: usize,
 }
@@ -214,9 +216,8 @@ pub fn visible_set_windowed(
         ranges.iter().copied().map(Some).collect()
     };
 
-    // ---- Events (active obstacle vertices inside a range), keyed by
-    // pseudo-angle.
-    let mut events: Vec<(f64, Event)> = Vec::new();
+    // ---- Events (active obstacle vertices inside a range).
+    let mut events: Vec<Event> = Vec::new();
     for (ai, &oi) in active.iter().enumerate() {
         for (vi, &v) in polys[oi].vertices().iter().enumerate() {
             if Some((oi, vi)) == pivot_vertex {
@@ -228,12 +229,12 @@ pub fn visible_set_windowed(
             }
             let key = pseudo_angle(v.x - pivot.x, v.y - pivot.y);
             if arcs.iter().any(|&range| in_range(key, range)) {
-                let ev = Event {
+                events.push(Event {
                     pos: v,
+                    key,
                     obstacle: ai,
                     vertex: vi,
-                };
-                events.push((key, ev));
+                });
             }
         }
     }
@@ -254,12 +255,11 @@ pub fn visible_set_windowed(
     // pass is O(n) amortized while the result matches `angular_cmp`
     // everywhere (within a non-wrapping range, absolute angular order is
     // the sweep order).
-    events.sort_by_key(|(key, _)| key.to_bits());
+    events.sort_by_cached_key(|e| e.key.to_bits());
     for i in 1..events.len() {
         let mut j = i;
         while j > 0
-            && angular_cmp(pivot, events[j - 1].1.pos, events[j].1.pos)
-                == std::cmp::Ordering::Greater
+            && angular_cmp(pivot, events[j - 1].pos, events[j].pos) == std::cmp::Ordering::Greater
         {
             events.swap(j - 1, j);
             j -= 1;
@@ -313,12 +313,16 @@ pub fn visible_set_windowed(
         }
     };
 
+    let mut in_arc: Vec<Event> = Vec::new();
     for range in arcs {
-        let events: Vec<Event> = events
-            .iter()
-            .filter(|&&(key, _)| in_range(key, range))
-            .map(|&(_, ev)| ev)
-            .collect();
+        let events = match range {
+            None => &events,
+            Some(_) => {
+                in_arc.clear();
+                in_arc.extend(events.iter().filter(|ev| in_range(ev.key, range)));
+                &in_arc
+            }
+        };
         if events.is_empty() {
             // Only a range can be empty here; nothing in it to sweep.
             result.open.extend(range);
