@@ -288,10 +288,10 @@ pub fn compute_obstructed_path(
 /// point-to-point fixpoint of [`compute_obstructed_path`], the certified
 /// region is known up front: any path of length ≤ `e` from `q` stays
 /// inside the disk of radius `e`, so a single R-tree range absorbs every
-/// obstacle that can influence the result. One bounded Dijkstra
-/// expansion then settles nodes in ascending obstructed distance,
-/// sweeping only from nodes it actually pops (see
-/// [`LazyScene::bounded_expansion`]).
+/// obstacle that can influence the result. One multi-target A\*
+/// expansion then settles the targets in ascending obstructed distance,
+/// sweeping only from nodes that can still reach an unsettled target
+/// within `e` (see [`LazyScene::bounded_expansion`]).
 ///
 /// Returns the settled targets as `(tag, distance)`, ascending
 /// (unreachable and out-of-range targets are omitted), and the scene's
@@ -314,16 +314,15 @@ pub fn compute_obstructed_range(
     let items = obstacles.tree().range_circle(q, e);
     graph.note_region(Rect::from_point(q).expanded(e));
     graph.absorb(obstacles, items);
-    // A fresh vector, not an in-place collect of `settled`: the two
-    // element types share a layout, so collecting in place would keep
-    // every settled node's capacity alive in the caller's result.
-    let mut hits = Vec::new();
-    for (node, d) in graph.scene.bounded_expansion(q_node, e, &targets) {
-        match graph.scene.kind(node) {
-            NodeKind::Waypoint { tag } if node != q_node => hits.push((tag, d)),
-            _ => {}
-        }
-    }
+    let hits = graph
+        .scene
+        .bounded_expansion(q_node, e, &targets)
+        .into_iter()
+        .filter_map(|(node, d)| match graph.scene.kind(node) {
+            NodeKind::Waypoint { tag } => Some((tag, d)),
+            NodeKind::ObstacleVertex { .. } => None,
+        })
+        .collect();
     let nodes = graph.scene.node_count();
     for t in targets {
         graph.remove_waypoint(t);

@@ -57,6 +57,8 @@ fn assert_scene_matches_graph(obstacles: &[Polygon], waypoints: &[Point]) {
         .zip(0u64..)
         .map(|(&p, tag)| scene.add_waypoint(p, tag))
         .collect();
+    // Every live node a target: each expansion is Dijkstra.
+    let all: Vec<NodeId> = scene.live_nodes().collect();
     for (i, (&a, &ga)) in ids.iter().zip(&gids).enumerate() {
         for (j, (&b, &gb)) in ids.iter().zip(&gids).enumerate() {
             let lazy = scene.astar(a, b);
@@ -70,7 +72,7 @@ fn assert_scene_matches_graph(obstacles: &[Polygon], waypoints: &[Point]) {
             );
         }
         let mut got: Vec<(u64, f64)> = scene
-            .bounded_expansion(a, f64::INFINITY, &ids)
+            .bounded_expansion(a, f64::INFINITY, &all)
             .into_iter()
             .filter_map(|(n, d)| match scene.kind(n) {
                 NodeKind::Waypoint { tag } => Some((tag, d)),

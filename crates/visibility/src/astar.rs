@@ -38,9 +38,10 @@
 //!   radius `e`", applied to edges and not just to which obstacles are
 //!   registered). The base window shrinks to the reach, arcs certified
 //!   that far stay *pending*, and a later search that needs more resumes
-//!   exactly those. A sweep's cost follows the remaining budget
-//!   ([`LazyScene::bounded_expansion`]) or heuristic distance
-//!   ([`LazyScene::astar`]), not the extent of a resident scene;
+//!   exactly those. A sweep's cost follows the remaining budget and the
+//!   targets ([`LazyScene::bounded_expansion`], multi-target A\*: only
+//!   nodes on the way to an unsettled target are swept) or the heuristic
+//!   distance ([`LazyScene::astar`]), not the extent of a resident scene;
 //! * the graph is the **tangent visibility graph** (Wang, *Shortest
 //!   Paths Among Obstacles in the Plane Revisited*): an edge between two
 //!   obstacle vertices is listed only if its line is [`tangent_at`] both
@@ -86,6 +87,20 @@ fn pos_key(p: Point) -> (u64, u64) {
 /// Min-frontier over `(key, position tie-break, node id)` used by both
 /// search loops.
 type Frontier = BinaryHeap<Reverse<(OrdF64, (u64, u64), u32)>>;
+
+/// The multi-target A\* key of node `v` at `p`, reached at `d`: `d` plus
+/// the Euclidean distance to the nearest `open` goal (0 at one), rounded
+/// down so that it never exceeds a computed distance it bounds.
+fn goal_key(goals: &[(u32, Point)], open: &[bool], v: u32, p: Point, d: f64) -> f64 {
+    if open[v as usize] {
+        return d;
+    }
+    let sq = goals
+        .iter()
+        .filter(|g| open[g.0 as usize])
+        .fold(f64::INFINITY, |m, g| m.min(p.dist_sq(g.1)));
+    d + sq.sqrt() * (1.0 - 1e-12)
+}
 
 /// Frontier tag of an A\* *continuation* entry (see
 /// [`LazyScene::astar`]). Node ids share the frontier's `u32` with it,
@@ -395,6 +410,14 @@ impl LazyScene {
         self.polys.len()
     }
 
+    /// The live nodes: every node [`LazyScene::bounded_expansion`] can
+    /// settle, so with all of them as targets it is Dijkstra.
+    pub fn live_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        (0..self.nodes.len())
+            .filter(|&i| self.nodes[i].alive)
+            .map(|i| NodeId(i as u32))
+    }
+
     /// Position of a node.
     pub fn position(&self, id: NodeId) -> Point {
         self.nodes[id.0 as usize].pos
@@ -684,35 +707,40 @@ impl LazyScene {
         self.astar(from, to).map(|p| p.distance)
     }
 
-    /// All of `targets` (plus any obstacle vertices settled on the way)
-    /// within obstructed distance `radius` of `from`, reported as
-    /// `(node, distance)` in ascending distance order — the lazy
-    /// counterpart of [`bounded_expansion`](crate::bounded_expansion)
-    /// over a materialized graph, and the engine of the OR range query.
+    /// The `targets` within obstructed distance `radius` of `from`, as
+    /// `(node, distance)` ascending by `(distance, position, id)`: the OR
+    /// step of Fig. 5, behind the range query and every ODJ seed. With
+    /// every node of [`LazyScene::live_nodes`] a target it is Dijkstra,
+    /// the lazy counterpart of [`bounded_expansion`](crate::bounded_expansion)
+    /// over a materialized graph.
     ///
     /// Waypoint distances are exact obstructed distances. An obstacle
     /// vertex is reported at its distance over the *tangent* visibility
     /// graph (module docs): one reached only through non-tangent edges
-    /// settles later, or not at all. OR and ODJ read only waypoints.
+    /// settles later, or not at all. OR and ODJ target only waypoints.
     ///
     /// The caller must have absorbed every obstacle intersecting the disk
     /// of radius `radius` around `from` (a single R-tree range does it:
     /// the region is known up front, unlike the point-to-point fixpoint).
-    /// One Dijkstra expansion then settles nodes in ascending obstructed
-    /// distance, sweeping visibility only from nodes it actually pops —
-    /// nodes outside the radius are never swept.
+    ///
+    /// The search is multi-target A\*: a node's key adds `h`, the
+    /// Euclidean distance to the nearest unsettled target (0 at one),
+    /// rounded down so that it never exceeds a distance it bounds. `h` is
+    /// consistent and only grows as targets settle, so a popped entry
+    /// whose key went stale is re-keyed. A node keyed past `radius` leads
+    /// to no target within it and is never swept.
     ///
     /// Waypoint targets never appear in vertex successor lists, so each
-    /// target contributes its own (cached) sweep: visibility is
-    /// symmetric, hence the set of nodes a target sees is the set that
-    /// sees it. Shortest obstructed paths only turn at obstacle vertices,
-    /// so targets never need to relay to each other.
+    /// target sweeps for its incoming edges (visibility is symmetric) and
+    /// never relays: shortest paths turn only at obstacle vertices. A
+    /// target the source sees within `radius` settles at its Euclidean
+    /// distance, unswept. Any other target `t` sweeps out to `(radius +
+    /// |from t|) / 2`: the last vertex of a path of length ≤ `radius` lies
+    /// in the ellipse with foci `from` and `t`. A relaying node settled at
+    /// `d` sweeps out to its remaining budget `radius − d`.
     ///
-    /// Every sweep is bounded by what the expansion can still use: a node
-    /// settled at `d` generates successors out to its remaining budget
-    /// `radius − d` (a longer edge fails `d + w ≤ radius`), a target out
-    /// to `radius`. A NaN or negative `radius` holds only the source;
-    /// `+∞` is the unbounded expansion.
+    /// A NaN or negative `radius` holds only the source, if it is a
+    /// target; `+∞` is the unbounded expansion.
     pub fn bounded_expansion(
         &mut self,
         from: NodeId,
@@ -720,73 +748,97 @@ impl LazyScene {
         targets: &[NodeId],
     ) -> Vec<(NodeId, f64)> {
         if radius.is_nan() || radius < 0.0 {
-            return vec![(from, 0.0)];
+            return targets
+                .contains(&from)
+                .then_some((from, 0.0))
+                .into_iter()
+                .collect();
         }
-        // `d + w ≤ radius` is tested on rounded sums: pad the budget so it
+        // `d + w ≤ radius` is tested on rounded sums: pad each reach so it
         // covers every `w` that passes.
         let slack = 4.0 * f64::EPSILON * radius;
         let fp = self.nodes[from.0 as usize].pos;
         let n = self.nodes.len();
-        // Incoming edges into each waypoint target, keyed by source node.
+        let mut hits = Vec::new();
+        let mut closed = vec![false; n];
+        // The targets, and which of them are still open (unsettled).
+        let mut goals = Vec::new();
+        let mut open = vec![false; n];
+        // Incoming edges into each swept waypoint target, keyed by source node.
         let mut into: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
         for &t in targets {
-            if t == from || !matches!(self.nodes[t.0 as usize].kind, NodeKind::Waypoint { .. }) {
-                continue; // vertex targets are reached by normal expansion
-            }
-            let tp = self.nodes[t.0 as usize].pos;
-            self.ensure_successors(t, radius);
-            for &(v, w) in &self.cache[t.0 as usize].succ {
-                into[v.0 as usize].push((t.0, w));
-            }
-            // The one edge no sweep reports: straight from the source.
+            let (ti, tp) = (t.0 as usize, self.nodes[t.0 as usize].pos);
             let d = fp.dist(tp);
-            if d <= radius && self.visible_indexed(fp, tp) {
-                into[from.0 as usize].push((t.0, d));
+            if open[ti] || closed[ti] || !d.is_finite() || d > radius + slack {
+                continue; // a duplicate, or out of reach
+            }
+            let waypoint = t != from && matches!(self.nodes[ti].kind, NodeKind::Waypoint { .. });
+            if waypoint && d <= radius && self.visible_indexed(fp, tp) {
+                closed[ti] = true;
+                hits.push((t, d));
+                continue;
+            }
+            open[ti] = true;
+            goals.push((t.0, tp));
+            if waypoint {
+                self.ensure_successors(t, (radius + d) / 2.0 + slack);
+                for &(v, w) in &self.cache[ti].succ {
+                    into[v.0 as usize].push((t.0, w));
+                }
             }
         }
 
+        let mut remaining = goals.len();
         let mut dist = vec![f64::INFINITY; n];
-        let mut settled = Vec::new();
         let mut heap: Frontier = BinaryHeap::new();
         dist[from.0 as usize] = 0.0;
-        heap.push(Reverse((OrdF64(0.0), pos_key(fp), from.0)));
-        while let Some(Reverse((OrdF64(d), _, u))) = heap.pop() {
-            if d > dist[u as usize] {
+        let key = goal_key(&goals, &open, from.0, fp, 0.0);
+        heap.push(Reverse((OrdF64(key), pos_key(fp), from.0)));
+        while remaining > 0 {
+            let Some(Reverse((OrdF64(key), pk, u))) = heap.pop() else {
+                break;
+            };
+            if key > radius {
+                break; // no open target is within reach
+            }
+            let ui = u as usize;
+            if closed[ui] {
                 continue; // stale frontier entry
             }
-            settled.push((NodeId(u), d));
+            let d = dist[ui];
+            let now = goal_key(&goals, &open, u, self.nodes[ui].pos, d);
+            if now > key {
+                // Targets settled since the push: `h` grew.
+                heap.push(Reverse((OrdF64(now), pk, u)));
+                continue;
+            }
+            closed[ui] = true;
+            if open[ui] {
+                open[ui] = false;
+                remaining -= 1;
+                hits.push((NodeId(u), d));
+            }
             // Settled waypoints other than the source never relay: a
-            // shortest path never needs to turn at a free point, and
-            // sweeping from them would waste one sweep per target.
-            let relays =
-                u == from.0 || !matches!(self.nodes[u as usize].kind, NodeKind::Waypoint { .. });
+            // shortest path never needs to turn at a free point.
+            let relays = u == from.0 || !matches!(self.nodes[ui].kind, NodeKind::Waypoint { .. });
             if relays {
                 self.ensure_successors(NodeId(u), radius - d + slack);
-                for &(v, w) in &self.cache[u as usize].succ {
-                    let nd = d + w;
-                    if nd <= radius && nd < dist[v.0 as usize] {
-                        dist[v.0 as usize] = nd;
-                        heap.push(Reverse((
-                            OrdF64(nd),
-                            pos_key(self.nodes[v.0 as usize].pos),
-                            v.0,
-                        )));
-                    }
-                }
             }
-            for &(v, w) in &into[u as usize] {
-                let nd = d + w;
-                if nd <= radius && nd < dist[v as usize] {
-                    dist[v as usize] = nd;
-                    heap.push(Reverse((
-                        OrdF64(nd),
-                        pos_key(self.nodes[v as usize].pos),
-                        v,
-                    )));
+            let succ: &[(NodeId, f64)] = if relays { &self.cache[ui].succ } else { &[] };
+            let edges = succ.iter().map(|&(v, w)| (v.0, w));
+            for (v, w) in edges.chain(into[ui].iter().copied()) {
+                let (vi, nd) = (v as usize, d + w);
+                if nd < dist[vi] {
+                    dist[vi] = nd;
+                    let p = self.nodes[vi].pos;
+                    let key = goal_key(&goals, &open, v, p, nd);
+                    heap.push(Reverse((OrdF64(key), pos_key(p), v)));
                 }
             }
         }
-        settled
+        // Line-of-sight hits settled first; merge them into settle order.
+        hits.sort_unstable_by_key(|&(v, d)| (OrdF64(d), pos_key(self.position(v)), v.0));
+        hits
     }
 
     // -----------------------------------------------------------------
@@ -1450,12 +1502,11 @@ mod tests {
                 s.add_obstacle(p.clone(), i as u64);
             }
             let nq = s.add_waypoint(q, 1000);
-            let targets: Vec<NodeId> = waypoints
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| s.add_waypoint(p, i as u64))
-                .collect();
-            let lazy = s.bounded_expansion(nq, radius, &targets);
+            for (i, &p) in waypoints.iter().enumerate() {
+                s.add_waypoint(p, i as u64);
+            }
+            let all: Vec<NodeId> = s.live_nodes().collect();
+            let lazy = s.bounded_expansion(nq, radius, &all);
 
             let (full, wps) = VisibilityGraph::build(
                 obstacles.iter().cloned().zip(0u64..),
@@ -1476,15 +1527,15 @@ mod tests {
         s.add_obstacle(square(1.0, -1.0, 2.0, 1.0), 0);
         s.add_obstacle(square(4.0, -2.0, 5.0, 0.5), 1);
         let q = s.add_waypoint(Point::new(0.0, 0.0), 9);
-        let targets: Vec<NodeId> = [(3.0, 0.0), (6.0, 0.0), (0.0, 0.0)]
-            .iter()
-            .map(|&(x, y)| s.add_waypoint(Point::new(x, y), 1))
-            .collect();
-        let first = s.bounded_expansion(q, radius, &targets);
+        for (x, y) in [(3.0, 0.0), (6.0, 0.0), (0.0, 0.0)] {
+            s.add_waypoint(Point::new(x, y), 1);
+        }
+        let all: Vec<NodeId> = s.live_nodes().collect();
+        let first = s.bounded_expansion(q, radius, &all);
         let sweeps = s.sweep_count();
         // Asking again is answered from the cache: no slot is left in a
         // state that recomputes on every call.
-        assert_eq!(s.bounded_expansion(q, radius, &targets), first);
+        assert_eq!(s.bounded_expansion(q, radius, &all), first);
         assert_eq!(s.sweep_count(), sweeps);
         assert!(s.validate(true).is_ok());
         (first, q, sweeps)
@@ -1520,6 +1571,147 @@ mod tests {
         // 8 vertices, the source and 3 targets.
         assert_eq!(all.len(), 12);
         assert_eq!(all, most);
+    }
+
+    #[test]
+    fn targets_in_line_of_sight_cost_no_sweep() {
+        let mut s = LazyScene::new(EdgeBuilder::RotationalSweep);
+        s.add_obstacle(square(1.0, -1.0, 2.0, 1.0), 0);
+        s.add_obstacle(square(-3.0, 2.0, -2.0, 3.0), 1);
+        let q = s.add_waypoint(Point::new(0.0, 0.0), 9);
+        let targets: Vec<NodeId> = [(0.5, 0.9), (-1.0, -1.5), (0.3, 2.5), (-1.5, 0.2)]
+            .iter()
+            .map(|&(x, y)| s.add_waypoint(Point::new(x, y), 1))
+            .collect();
+        let hits = s.bounded_expansion(q, 3.0, &targets);
+        assert_eq!(s.sweep_count(), 0);
+        let fp = s.position(q);
+        let mut want: Vec<(NodeId, f64)> = targets
+            .iter()
+            .map(|&t| (t, fp.dist(s.position(t))))
+            .collect();
+        want.sort_by(|a, b| a.1.total_cmp(&b.1));
+        assert_eq!(hits, want);
+    }
+
+    #[test]
+    fn a_target_at_exactly_the_radius_is_a_hit_and_a_long_detour_is_not() {
+        let mut s = LazyScene::new(EdgeBuilder::RotationalSweep);
+        s.add_obstacle(square(1.0, -1.0, 2.0, 1.0), 0);
+        let q = s.add_waypoint(Point::new(0.0, 0.0), 9);
+        let seen = s.add_waypoint(Point::new(0.0, 3.0), 1);
+        // Behind the block: d_E = 3, obstructed 1 + 2√2.
+        let hidden = s.add_waypoint(Point::new(3.0, 0.0), 2);
+        assert_eq!(
+            s.bounded_expansion(q, 3.0, &[seen, hidden]),
+            vec![(seen, 3.0)]
+        );
+        let all: Vec<NodeId> = s.live_nodes().collect();
+        let (_, d) = s
+            .bounded_expansion(q, f64::INFINITY, &all)
+            .into_iter()
+            .find(|&(v, _)| v == hidden)
+            .expect("the detour exists");
+        assert!((d - (1.0 + 2.0 * 2f64.sqrt())).abs() < 1e-12);
+        let hits = s.bounded_expansion(q, d, &[hidden, seen]);
+        assert_eq!(hits, vec![(seen, 3.0), (hidden, d)]);
+    }
+
+    /// Two routes of one length reach `t`: past the block's top-left
+    /// corner straight along its top wall, or corner to corner along it.
+    /// They round an ulp apart, so the heuristic must stay below the
+    /// cheaper sum for `t` to be a hit at exactly its distance.
+    #[test]
+    fn a_collinear_route_an_ulp_shorter_is_found_at_exactly_the_radius() {
+        let mut s = LazyScene::new(EdgeBuilder::RotationalSweep);
+        s.add_obstacle(square(1.1, -1.0, 2.3, 0.7), 0);
+        let q = s.add_waypoint(Point::new(0.0, -0.3), 9);
+        let t = s.add_waypoint(Point::new(2.3 + 20.0 / 7.0, 0.7), 1);
+        let (c1, c2) = (Point::new(1.1, 0.7), Point::new(2.3, 0.7));
+        let d1 = s.position(q).dist(c1);
+        let straight = d1 + c1.dist(s.position(t));
+        let along = d1 + c1.dist(c2) + c2.dist(s.position(t));
+        assert!(along < straight, "the routes round apart");
+        let all: Vec<NodeId> = s.live_nodes().collect();
+        let exact = s.bounded_expansion(q, f64::INFINITY, &all);
+        assert!(exact.contains(&(t, along)));
+        assert_eq!(s.bounded_expansion(q, along, &[t]), vec![(t, along)]);
+    }
+
+    /// A ray grazing a vertex at the start of a ranged sweep is open: a
+    /// list grown in steps still finds the vertex beyond it on the ray.
+    #[test]
+    fn a_list_grown_in_steps_sees_along_a_grazed_wall() {
+        let mut s = LazyScene::new(EdgeBuilder::RotationalSweep);
+        s.add_obstacle(square(0.0, 0.0, 1.0, 1.0), 0);
+        s.add_obstacle(square(2.0, 0.0, 3.0, 1.0), 1);
+        // On the first square's corner, looking along its bottom wall at
+        // the second square's corner (2, 0).
+        let w = s.add_waypoint(Point::new(0.0, 0.0), 0);
+        for reach in [0.5, 1.5, f64::INFINITY] {
+            s.ensure_successors(w, reach);
+            s.validate(true).unwrap();
+        }
+        assert!(s.cache[w.0 as usize]
+            .succ
+            .contains(&(s.vertex_nodes[1][0], 2.0)));
+    }
+
+    /// With every target on one side of the source, the A\* expansion
+    /// heads their way: 12 sweeps for 4 targets (3 hits), where the same
+    /// call with every node a target (Dijkstra over the whole disk) costs
+    /// 102 on the same scene.
+    #[test]
+    fn one_sided_targets_sweep_less_than_the_whole_disk() {
+        use obstacle_datagen::{sample_entities, City, CityConfig};
+        let city = City::generate(CityConfig::new(160, 5));
+        let entities = sample_entities(&city, 80, 6);
+        let scene = || {
+            let mut s = LazyScene::new(EdgeBuilder::RotationalSweep);
+            for (i, poly) in city.obstacles.iter().enumerate() {
+                s.add_obstacle(poly.clone(), i as u64);
+            }
+            let ids: Vec<NodeId> = entities.iter().map(|&p| s.add_waypoint(p, 0)).collect();
+            (s, ids)
+        };
+        let (mut s, ids) = scene();
+        let (q, qp) = (ids[0], entities[0]);
+        let radius = 6.0 * s.mean_diag();
+        let targets: Vec<NodeId> = ids[1..]
+            .iter()
+            .copied()
+            .filter(|&w| s.position(w).x > qp.x && s.position(w).dist(qp) <= radius)
+            .collect();
+        let hits = s.bounded_expansion(q, radius, &targets);
+        let (mut dijkstra, _) = scene();
+        let all: Vec<NodeId> = dijkstra.live_nodes().collect();
+        dijkstra.bounded_expansion(q, radius, &all);
+        assert!(
+            hits.iter().any(|&(t, d)| d > qp.dist(s.position(t))),
+            "some hit is hidden"
+        );
+        assert!(s.sweep_count() < dijkstra.sweep_count());
+        // Expanding popped entries whose key went stale, instead of
+        // re-keying them, sweeps 28 here.
+        assert!(s.sweep_count() <= 12, "{} sweeps", s.sweep_count());
+
+        // A path within `radius` never leaves the disk: the oracle needs
+        // only the obstacles that meet it.
+        let near = city
+            .obstacles
+            .iter()
+            .filter(|o| o.bbox().mindist_point(qp) <= radius);
+        let (full, wps) =
+            VisibilityGraph::build(near.cloned().zip(0u64..), entities.iter().map(|&p| (p, 0)));
+        let wanted: Vec<Point> = targets.iter().map(|&t| s.position(t)).collect();
+        let exact: Vec<(NodeId, f64)> = crate::bounded_expansion(&full, wps[0], radius)
+            .into_iter()
+            .filter(|&(n, _)| wanted.contains(&full.position(n)))
+            .collect();
+        assert_eq!(
+            keyed(&hits, |n| s.position(n), |n| s.kind(n), true),
+            keyed(&exact, |n| full.position(n), |n| full.kind(n), true)
+        );
     }
 
     #[test]
@@ -1622,7 +1814,8 @@ mod tests {
                 entities.iter().map(|&p| (p, 0)),
             )
         };
-        let near = s.bounded_expansion(q, 2.0 * diag, &targets);
+        let all: Vec<NodeId> = s.live_nodes().collect();
+        let near = s.bounded_expansion(q, 2.0 * diag, &all);
         assert!(near.len() > 1);
         assert!(pending(&s) > 0, "a city scene leaves pending arcs");
         let (full, wps) = graph(early);
@@ -1650,15 +1843,16 @@ mod tests {
         // The same expansion with more reach resumes what the first left
         // pending; with all of it, nothing stays pending at its nodes.
         let sweeps = s.sweep_count();
-        let far = s.bounded_expansion(q, 6.0 * diag, &targets);
+        let all: Vec<NodeId> = s.live_nodes().collect();
+        let far = s.bounded_expansion(q, 6.0 * diag, &all);
         assert!(far.len() > near.len());
         assert!(s.sweep_count() > sweeps);
         let (full, wps) = graph(&city.obstacles);
         assert_expansion_matches(&s, &far, &full, wps[0], 6.0 * diag);
-        let all = s.bounded_expansion(q, f64::INFINITY, &targets);
-        assert!(all.len() >= far.len());
+        let unbounded = s.bounded_expansion(q, f64::INFINITY, &all);
+        assert!(unbounded.len() >= far.len());
         assert!(s.cache[q.0 as usize].pending.is_empty());
-        assert_expansion_matches(&s, &all, &full, wps[0], f64::INFINITY);
+        assert_expansion_matches(&s, &unbounded, &full, wps[0], f64::INFINITY);
     }
 
     /// `visible_indexed` stops at the first blocking obstacle the index

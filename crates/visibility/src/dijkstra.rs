@@ -5,8 +5,12 @@
 //! * [`dijkstra_distance`] — point-to-point distance with early
 //!   termination at the target (obstructed-distance computation, Fig. 8);
 //! * [`bounded_expansion`] — all nodes within a radius, reported in
-//!   ascending distance order (the single expansion of the OR algorithm,
-//!   Fig. 5);
+//!   ascending distance order: the single expansion of the OR algorithm
+//!   (Fig. 5) over a materialized graph, kept as the oracle of the lazy
+//!   [`LazyScene::bounded_expansion`](crate::LazyScene::bounded_expansion).
+//!   That one reports only the targets it is given and searches toward
+//!   them (multi-target A\*); with every node a target it is this
+//!   Dijkstra;
 //! * [`shortest_path`] — distance plus the actual polyline (useful for
 //!   applications; the paper only needs distances).
 
@@ -56,9 +60,11 @@ pub fn dijkstra_distance(graph: &VisibilityGraph, from: NodeId, to: NodeId) -> O
 /// All nodes within distance `radius` of `from`, in ascending distance
 /// order (including `from` itself at distance 0).
 ///
-/// This is the core of the paper's OR algorithm (Fig. 5): one Dijkstra
+/// This is the paper's OR algorithm (Fig. 5) as written: one Dijkstra
 /// expansion from the query point, pruned at the range `e`, reporting
-/// entities as they are settled.
+/// entities as they are settled. The engine runs the lazy, goal-directed
+/// [`LazyScene::bounded_expansion`](crate::LazyScene::bounded_expansion);
+/// this materialized form is its test oracle.
 pub fn bounded_expansion(graph: &VisibilityGraph, from: NodeId, radius: f64) -> Vec<(NodeId, f64)> {
     let n = graph.node_slots();
     let mut dist = vec![f64::INFINITY; n];

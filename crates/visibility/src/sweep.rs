@@ -400,7 +400,14 @@ pub fn visible_set_windowed(
 
             // Openness of the arc ending at this ray.
             let arrive_open = front_open(&status, ray_target);
+            let mut ray_open = false;
             match prev_boundary {
+                // A range starting on this ray leaves no arc before it; if
+                // the ray itself is open (it grazes a vertex on its way
+                // out), the arc leaving it is reported open instead.
+                Some((prev_theta, leave_open)) if prev_theta == theta => {
+                    ray_open = leave_open || arrive_open;
+                }
                 Some((prev_theta, leave_open)) => {
                     if leave_open || arrive_open {
                         result.open.push((prev_theta, theta));
@@ -472,7 +479,7 @@ pub fn visible_set_windowed(
                 }
             }
 
-            prev_boundary = Some((theta, front_open(&status, ray_target)));
+            prev_boundary = Some((theta, ray_open || front_open(&status, ray_target)));
             gi = gj;
         }
 

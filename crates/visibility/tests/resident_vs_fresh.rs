@@ -47,14 +47,14 @@ fn run_queries(
     }
     let nq = scene.add_waypoint(q, u64::MAX);
     let np = scene.add_waypoint(p, 0);
-    let nt: Vec<NodeId> = targets
-        .iter()
-        .enumerate()
-        .map(|(i, &t)| scene.add_waypoint(t, 1 + i as u64))
-        .collect();
+    for (i, &t) in targets.iter().enumerate() {
+        scene.add_waypoint(t, 1 + i as u64);
+    }
     let before = scene.sweep_count();
     let path = scene.astar(np, nq).expect("p and q are free points");
-    let range = scene.bounded_expansion(nq, e, &nt);
+    // Every live node a target: the whole disk is settled and compared.
+    let all: Vec<NodeId> = scene.live_nodes().collect();
+    let range = scene.bounded_expansion(nq, e, &all);
     let sweeps = scene.sweep_count() - before;
     let answers = Answers {
         path: (path.distance.to_bits(), path.points),
@@ -126,7 +126,8 @@ fn a_far_resident_cluster_does_not_tax_a_local_query() {
         .map(|&x| resident.add_waypoint(x, 8))
         .collect();
     assert!(resident.astar(a, others[0]).is_some());
-    assert!(resident.bounded_expansion(a, 6.0 * diag, &others).len() > 1);
+    let all: Vec<NodeId> = resident.live_nodes().collect();
+    assert!(resident.bounded_expansion(a, 6.0 * diag, &all).len() > 1);
     for w in others {
         resident.remove_waypoint(w);
     }

@@ -106,8 +106,11 @@ fn assert_equivalent(obstacles: &[Rect], waypoints: &[Point]) {
         let (naive, naive_ids) =
             VisibilityGraph::build(polys[..n].iter().cloned().zip(0u64..), tagged());
         naive.validate(true).expect("naive graph is its own oracle");
+        // Every live node a target: the expansion is Dijkstra, and every
+        // node it settles is compared.
+        let all: Vec<NodeId> = scene.live_nodes().collect();
         for (&from, &naive_from) in ids.iter().zip(&naive_ids) {
-            let swept = scene.bounded_expansion(from, f64::INFINITY, &ids);
+            let swept = scene.bounded_expansion(from, f64::INFINITY, &all);
             let got = |wps| reach(&swept, |n| scene.position(n), |n| scene.kind(n), wps);
             let want =
                 |e: &[(NodeId, f64)], wps| reach(e, |n| naive.position(n), |n| naive.kind(n), wps);
