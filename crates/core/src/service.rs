@@ -553,8 +553,10 @@ impl<'s> QueryService<'s> {
                 std::mem::take(&mut q.stats)
             };
             for worker in workers {
-                let (reuses, resets, invalidations) =
-                    worker.join().expect("service worker panicked");
+                // A panicking worker re-raises its own payload here.
+                let (reuses, resets, invalidations) = worker
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p));
                 stats.scene_reuses += reuses;
                 stats.scene_resets += resets;
                 stats.scene_invalidations += invalidations;

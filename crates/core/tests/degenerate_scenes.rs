@@ -295,3 +295,39 @@ fn waypoints_on_walls_and_at_vertices() {
     ]);
     assert_degenerate_scene(&obstacles, &wps);
 }
+
+#[test]
+fn a_sliver_just_left_of_a_corner_blocks_at_every_scale() {
+    // The square [1,2]×[0,1] and a disjoint sliver of width `depth` whose
+    // right side lies `gap` left of it. The straight path (0,0) → (1,0)
+    // → (2.5,−0.2) crosses the sliver, so the answer must go round its
+    // foot, as `BruteForce` does (≈ 2.6477).
+    for depth in [1e-3, 1e-6, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12] {
+        for gap in [2e-10, 1e-9, 1e-6] {
+            let x1 = 1.0 - gap;
+            let obstacles = [rect(1.0, 0.0, 2.0, 1.0), rect(x1 - depth, -0.5, x1, 0.5)];
+            assert_degenerate_scene(&obstacles, &pts(&[(0.0, 0.0), (2.5, -0.2)]));
+        }
+    }
+}
+
+#[test]
+fn two_edges_beginning_at_one_corner_keep_their_rotation_order() {
+    // Seen from the origin, both edges of the corner (4, 0.1) begin on
+    // its ray, and the one toward (1, 10) is nearer on every later ray.
+    // A notch cut into the polygon between them holds a small square: a
+    // sight line to it passes the polygon's body first, so it is blocked
+    // only if the nearer sibling is in front of the status. The corner is
+    // listed last so that its nearer edge enters the status first.
+    let notched = poly(&[
+        (4.0, 10.0),
+        (3.0, 10.0),
+        (2.5, 5.3),
+        (2.0, 10.0),
+        (1.0, 10.0),
+        (4.0, 0.1),
+    ]);
+    let obstacles = [notched, rect(2.49, 5.6, 2.51, 5.65)];
+    let wps = pts(&[(0.0, 0.0), (2.5, 9.5), (6.0, 5.0)]);
+    assert_degenerate_scene(&obstacles, &wps);
+}

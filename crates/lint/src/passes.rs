@@ -64,9 +64,9 @@ const NAN_ALLOW: &[&str] = &["crates/geom/src/order.rs"];
 
 /// Hot-path modules where `unwrap()`/`expect()` is forbidden outside
 /// tests: the six paper operators, the distance/path engines, the brute
-/// oracle, the lazy A\* scene with the rotational sweep it runs, and the
-/// two tree-image byte decoders (with the packed read path that trusts
-/// what they accepted).
+/// oracle, the resident query service, the lazy A\* scene with the
+/// rotational sweep it runs, and the two tree-image byte decoders (with
+/// the packed read path that trusts what they accepted).
 const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/brute.rs",
     "crates/core/src/closest_pair.rs",
@@ -76,6 +76,7 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/path.rs",
     "crates/core/src/range.rs",
     "crates/core/src/semi_join.rs",
+    "crates/core/src/service.rs",
     "crates/geom/src/packed.rs",
     "crates/rtree/src/packed.rs",
     "crates/rtree/src/persist.rs",

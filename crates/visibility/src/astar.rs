@@ -219,6 +219,9 @@ impl CacheSlot {
 
 /// Angular padding (pseudo-angle units) for conservative wedge overlap
 /// tests: a false overlap only grows a window, never breaks soundness.
+/// The keys it pads are float pseudo-angles, and one direction's key
+/// rounds differently from different points (a wall and a corner beyond
+/// it on one line); the padded cone and wedges still hold both.
 const ARC_PAD: f64 = 1e-7;
 
 /// CCW length of an arc, treating a degenerate `(a, a)` arc as the full
@@ -899,6 +902,8 @@ impl LazyScene {
             return false;
         };
         let pos = self.nodes[i].pos;
+        // Errs toward a re-sweep: a newcomer within rounding of the
+        // window's edge retires the list.
         let pad = slot.radius * (1.0 + 1e-12);
         self.rects[since..].iter().all(|rect| {
             if rect.mindist_point(pos) <= pad {
@@ -1028,7 +1033,11 @@ impl LazyScene {
                 continue;
             }
             // Does any scene obstacle reach beyond r_arc inside the arc?
+            // The last step's radius lies strictly beyond every scene
+            // distance, so an edge at the scene's far corner still closes
+            // its arc against the sweep's openness pad.
             let r_next = (r_arc * 3.0).max(min_step).min(extent * 1.0001);
+            // Errs toward a wider wedge: the arc ends are float keys.
             let pad = ARC_PAD * (1.0 + a1 - a0);
             let range = ((a0 - pad).max(0.0), (a1 + pad).min(4.0));
             let mut beyond = false;

@@ -18,8 +18,19 @@
 //! Correctness notes (matching [`Polygon::blocks_segment`] semantics —
 //! obstacle interiors block, boundaries do not):
 //!
+//! * Every sweep decision is one exact [`orient2d`] sign or one endpoint
+//!   comparison, with no distance tolerance. Each edge is oriented once
+//!   per sweep so the pivot lies on its left; the rotating ray then meets
+//!   it at `a` and leaves it at `b`. It crosses the start ray iff `a` and
+//!   `b` lie strictly on opposite sides of it, the front edge blocks a
+//!   target iff the target is strictly on its right, and a new edge takes
+//!   its status slot by the same sign against its first point. So a
+//!   sliver of any width in front of a target blocks it. Two comparisons
+//!   of float crossing distances remain, each commented where it stands:
+//!   the order of the start-ray status, and the openness of horizon arcs.
 //! * Edges only enter the status when *properly* crossed by the ray; edges
-//!   collinear with the ray never block (walking along a wall is free).
+//!   on a line through the pivot never block (walking along a wall is
+//!   free) and are left out of the edge table.
 //! * Interior passage through a polygon **vertex** or through a boundary
 //!   point (e.g. the diagonal of a rectangle between opposite corners, or
 //!   an entity standing on a wall) is not a proper edge crossing; it is
@@ -80,6 +91,8 @@ pub fn classify_incremental(class: &mut PointClass, oi: usize, poly: &Polygon, p
 /// "No edge" marker of the per-vertex incident-edge table.
 const NO_EDGE: u32 = u32::MAX;
 
+/// An obstacle edge oriented so that the pivot lies strictly on its left:
+/// the CCW-rotating sweep ray meets `a` first and leaves the edge at `b`.
 #[derive(Clone, Copy, Debug)]
 struct Edge {
     a: Point,
@@ -103,14 +116,6 @@ fn same_ray(pivot: Point, a: Point, b: Point) -> bool {
     }
     // Same side: the dot product of the two directions is positive.
     (a - pivot).dot(b - pivot) > 0.0
-}
-
-fn other_endpoint(e: &Edge, p: Point) -> Point {
-    if e.a == p {
-        e.b
-    } else {
-        e.a
-    }
 }
 
 /// Euclidean distance from `pivot` to the crossing of the ray
@@ -167,7 +172,11 @@ pub struct WindowedVisibility {
 ///   within `radius` (and inside a range) is **exact for the full
 ///   scene**: sight lines from the pivot are radial, so any blocker of a
 ///   segment of length ≤ `radius` lies inside the disk of that radius and
-///   on the target's own ray, hence inside the target's range;
+///   on the target's own ray, hence inside the target's range. The
+///   flags take no tolerance: with every edge oriented toward the pivot,
+///   each start-ray, blocking and insertion decision is one exact
+///   [`orient2d`] sign, so a blocker however thin or near its target
+///   counts;
 /// * any point farther than `radius` whose direction falls inside a range
 ///   but in no `open` arc is **invisible for the full scene** — some
 ///   active edge properly crosses its ray nearer than `radius`, and
@@ -176,9 +185,9 @@ pub struct WindowedVisibility {
 /// Openness is evaluated at event-group boundaries only: between two
 /// consecutive groups the status is constant and the front edge's
 /// crossing distance is unimodal along the rotating ray, so its maximum
-/// over the arc is attained at the endpoints. A ray through a vertex
-/// (no *proper* crossing) yields an infinite front distance and
-/// therefore marks its arcs open — conservative, never unsound.
+/// over the arc is attained at the endpoints. It compares a float
+/// crossing distance with `radius`, padded toward "open": a wrong "open"
+/// costs a wedge sweep, never an answer.
 ///
 /// Classifications (`vertex_class`) are indexed by the **full** scene, so
 /// boundary attachments may reference non-active obstacles; their
@@ -266,9 +275,11 @@ pub fn visible_set_windowed(
         }
     }
 
-    // ---- Edge table from active obstacles (skip edges incident to the
-    // pivot: they only touch sight lines at the pivot and cannot block;
-    // the pivot's interior cones handle blocking there).
+    // ---- Edge table from active obstacles, each edge oriented with the
+    // pivot on its left. An edge on a line through the pivot (incident
+    // to it, or pointing at it) is skipped: it never crosses a ray
+    // properly, so it cannot block; the pivot's interior cones handle
+    // blocking at the pivot.
     let mut edges: Vec<Edge> = Vec::new();
     // A vertex has at most two incident edges: one `[u32; 2]` per active
     // vertex (filled in edge order), obstacle `ai`'s at `first_vertex[ai]`.
@@ -284,11 +295,13 @@ pub fn visible_set_windowed(
         let n = poly.len();
         for vi in 0..n {
             let s = poly.edge(vi);
-            if s.a == pivot || s.b == pivot {
-                continue;
-            }
+            let (a, b) = match orient2d(s.a, s.b, pivot) {
+                Orientation::CounterClockwise => (s.a, s.b),
+                Orientation::Clockwise => (s.b, s.a),
+                Orientation::Collinear => continue,
+            };
             let idx = edges.len() as u32;
-            edges.push(Edge { a: s.a, b: s.b });
+            edges.push(Edge { a, b });
             for v in [vi, (vi + 1) % n] {
                 let slot = &mut incident[first_vertex[ai] + v];
                 slot[usize::from(slot[0] != NO_EDGE)] = idx;
@@ -302,7 +315,13 @@ pub fn visible_set_windowed(
             .map(|ei| ei as usize)
     };
     // Openness test: is the nearest properly-crossing edge along the ray
-    // through `target` certifiably within the window radius?
+    // through `target` certifiably within the window radius? This one
+    // decision compares a distance with `radius`, which no sidedness sign
+    // answers, so it stays a float test. Its pad errs toward "open": a
+    // crossing within the pad of `radius` leaves the arc open, which
+    // costs at most one more wedge sweep in `refine`. `ray_t` rounds by
+    // ≈ ε / sin(angle between edge and ray) of the crossing distance, so
+    // the pad covers it for any edge more than ≈ 1e-7 rad off the ray.
     let edges_ref = &edges;
     let front_open = |status: &[usize], target: Point| -> bool {
         match status.first() {
@@ -330,7 +349,10 @@ pub fn visible_set_windowed(
         }
 
         // ---- Initial status: edges properly crossing the sweep's start
-        // ray (the +x axis, or the ray at `a0` when ranged).
+        // ray (the +x axis, or the ray at `a0` when ranged). With the
+        // pivot on its left, an edge crosses the ray in front of the
+        // pivot exactly when `a` is strictly clockwise of the ray and `b`
+        // strictly counter-clockwise (on the +x axis: below and above).
         let init_dir = match range {
             None => Point::new(pivot.x + 1.0, pivot.y),
             Some((a0, _)) => {
@@ -338,41 +360,20 @@ pub fn visible_set_windowed(
                 Point::new(pivot.x + d.x, pivot.y + d.y)
             }
         };
-        let mut status: Vec<usize> = Vec::new();
-        match range {
-            None => {
-                // Exact horizontal-line sidedness (pure comparisons).
-                for (ei, e) in edges.iter().enumerate() {
-                    let sa = e.a.y - pivot.y;
-                    let sb = e.b.y - pivot.y;
-                    if (sa > 0.0 && sb < 0.0) || (sa < 0.0 && sb > 0.0) {
-                        let t =
-                            e.a.x + (pivot.y - e.a.y) * (e.b.x - e.a.x) / (e.b.y - e.a.y) - pivot.x;
-                        if t > 0.0 {
-                            status.push(ei);
-                        }
-                    }
-                }
-            }
+        let crosses_start = |e: &Edge| match range {
+            None => e.a.y < pivot.y && pivot.y < e.b.y,
             Some(_) => {
-                // Robust sidedness against an arbitrary start ray.
-                for (ei, e) in edges.iter().enumerate() {
-                    let oa = orient2d(pivot, init_dir, e.a);
-                    let ob = orient2d(pivot, init_dir, e.b);
-                    let proper = matches!(
-                        (oa, ob),
-                        (Orientation::CounterClockwise, Orientation::Clockwise)
-                            | (Orientation::Clockwise, Orientation::CounterClockwise)
-                    );
-                    if proper {
-                        let t = ray_t(pivot, init_dir, e);
-                        if t > 0.0 && t.is_finite() {
-                            status.push(ei);
-                        }
-                    }
-                }
+                orient2d(pivot, init_dir, e.a) == Orientation::Clockwise
+                    && orient2d(pivot, init_dir, e.b) == Orientation::CounterClockwise
             }
-        }
+        };
+        let mut status: Vec<usize> = (0..edges.len())
+            .filter(|&ei| crosses_start(&edges[ei]))
+            .collect();
+        // Sorted by float crossing distance: comparing two crossings on
+        // one ray is not an `orient2d` sign. Two edges swap only if their
+        // crossings lie within a few ulps of the edges' extent of each
+        // other, far below the 1e-12 gaps the sliver tests exercise.
         status.sort_by(|&x, &y| {
             obstacle_geom::total_cmp(
                 ray_t(pivot, init_dir, &edges[x]),
@@ -419,8 +420,7 @@ pub fn visible_set_windowed(
             // Phase A: remove edges ending at this ray.
             for ev in group {
                 for ei in incident_edges(ev) {
-                    let other = other_endpoint(&edges[ei], ev.pos);
-                    if orient2d(pivot, ev.pos, other) == Orientation::Clockwise {
+                    if edges[ei].b == ev.pos {
                         if let Some(p) = status.iter().position(|&s| s == ei) {
                             status.remove(p);
                         }
@@ -434,7 +434,6 @@ pub fn visible_set_windowed(
             let mut prev_visible = true;
             let mut prev_attachments: &[(usize, BoundaryAttachment)] = &[];
             for ev in group {
-                let dw = pivot.dist(ev.pos);
                 let class = &vertex_class[active[ev.obstacle]][ev.vertex];
                 let visible;
                 if ev.pos == prev_pos {
@@ -445,11 +444,13 @@ pub fn visible_set_windowed(
                     }
                     let mut blocked = chain_blocked || class.inside;
                     if !blocked {
+                        // The front edge crosses this ray properly with
+                        // the pivot on its left: it blocks exactly the
+                        // points strictly on its right. A point on it
+                        // only touches the boundary.
                         if let Some(&front) = status.first() {
-                            let t = ray_t(pivot, ray_target, &edges[front]);
-                            if t < dw - 1e-9 * (1.0 + dw) {
-                                blocked = true;
-                            }
+                            let e = &edges[front];
+                            blocked = orient2d(e.a, e.b, ev.pos) == Orientation::Clockwise;
                         }
                     }
                     if !blocked && enters(&pivot_class.attachments, ev.pos) {
@@ -472,9 +473,8 @@ pub fn visible_set_windowed(
             // Phase C: insert edges beginning at this ray.
             for ev in group {
                 for ei in incident_edges(ev) {
-                    let other = other_endpoint(&edges[ei], ev.pos);
-                    if orient2d(pivot, ev.pos, other) == Orientation::CounterClockwise {
-                        insert_into_status(&mut status, &edges, pivot, ray_target, ei, ev.pos);
+                    if edges[ei].a == ev.pos {
+                        insert_into_status(&mut status, &edges, ei);
                     }
                 }
             }
@@ -522,40 +522,26 @@ fn pseudo_dir(key: f64) -> Point {
     }
 }
 
-/// Inserts edge `ei` (incident to the event point `w` on the current ray)
-/// into the status, keeping it sorted by crossing distance. Ties at the
-/// same crossing point (sibling edges fanning out of `w`) are broken by
-/// which edge the rotating ray will cross closer *after* leaving the
-/// current angle: the edge making the larger CCW angle with the ray dives
-/// toward the pivot faster.
-fn insert_into_status(
-    status: &mut Vec<usize>,
-    edges: &[Edge],
-    pivot: Point,
-    through: Point,
-    ei: usize,
-    w: Point,
-) {
-    let dw = pivot.dist(w);
-    let eps = 1e-9 * (1.0 + dw);
-    let mut lo = status.partition_point(|&s| ray_t(pivot, through, &edges[s]) < dw - eps);
-    // Walk over near-ties and order by the rotation rule.
-    while lo < status.len() {
-        let t = ray_t(pivot, through, &edges[status[lo]]);
-        if t > dw + eps {
-            break;
-        }
+/// Inserts edge `ei`, which begins at the event point `w = edges[ei].a`
+/// on the current ray, into the status, keeping it sorted by crossing
+/// distance. Every status edge crosses the ray properly with the pivot on
+/// its left, so one exact sign places it against `w`: clockwise (`w`
+/// strictly beyond it) sorts before `ei`, counter-clockwise after. Edges
+/// through `w` tie; among them a sibling also beginning at `w` is ordered
+/// by which edge the rotating ray will cross closer *after* leaving the
+/// current angle: the edge making the larger CCW angle with the ray
+/// dives toward the pivot faster. Other ties keep their place before
+/// `ei`.
+fn insert_into_status(status: &mut Vec<usize>, edges: &[Edge], ei: usize) {
+    let Edge { a: w, b: x_new } = edges[ei];
+    let side = |s: usize| orient2d(edges[s].a, edges[s].b, w);
+    let mut lo = status.partition_point(|&s| side(s) == Orientation::Clockwise);
+    while lo < status.len() && side(status[lo]) == Orientation::Collinear {
         let sib = &edges[status[lo]];
-        // Only meaningful when the tied edge also emanates from w.
-        if sib.a == w || sib.b == w {
-            let x_new = other_endpoint(&edges[ei], w);
-            let x_sib = other_endpoint(sib, w);
-            // New edge goes first iff its far end is clockwise of the
-            // sibling's (larger CCW angle from the ray ⇒ crosses closer
-            // after rotation).
-            if orient2d(w, x_new, x_sib) == Orientation::Clockwise {
-                break;
-            }
+        // The new edge goes first iff the sibling's far end is clockwise
+        // of it, seen from `w`.
+        if sib.a == w && orient2d(w, x_new, sib.b) == Orientation::Clockwise {
+            break;
         }
         lo += 1;
     }

@@ -298,3 +298,24 @@ fn sweep_equals_naive_on_random_scenes() {
         assert_equivalent(&rects, &wps);
     });
 }
+
+#[test]
+fn a_sliver_just_left_of_a_square_is_a_wall() {
+    // The square [1,2]×[0,1] and a disjoint sliver of width `depth` whose
+    // right side lies `gap` left of it. The path (0,0) → (2.5,−0.2) must go
+    // round the sliver's foot: its target corner (1, 0) lies within
+    // ≈ 2e-9 of the sliver, and only an exact sidedness test sees the
+    // sliver's edge between the two.
+    for depth in [1e-3, 1e-6, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12] {
+        for gap in [2e-10, 1e-9, 1e-6] {
+            let x1 = 1.0 - gap;
+            assert_equivalent(
+                &[
+                    Rect::from_coords(1.0, 0.0, 2.0, 1.0),
+                    Rect::from_coords(x1 - depth, -0.5, x1, 0.5),
+                ],
+                &[Point::new(0.0, 0.0), Point::new(2.5, -0.2)],
+            );
+        }
+    }
+}
